@@ -1,14 +1,17 @@
 """Counter stores for EARDet.
 
 EARDet (Algorithm 1 in the paper) keeps at most ``n`` non-zero counters in
-an associative array indexed by flow ID and must support four operations at
-line rate:
+an associative array indexed by flow ID and must support, at line rate:
 
-- look up / increment the counter of a stored flow,
-- insert a new flow into an empty slot,
-- *decrement all* non-zero counters by ``d = min(w, min_j c_j)`` and drop
-  the ones that hit zero,
-- find the minimum counter value.
+- the Misra-Gries update of one packet (:meth:`CounterStore.update`):
+  increment the counter of a stored flow, insert a new flow into an empty
+  slot, or *decrement all* non-zero counters by ``d = min(size, min_j
+  c_j)``, drop the ones that hit zero and store the leftover;
+- storing *virtual* counters (:meth:`CounterStore.insert_virtual`), the
+  leftovers of virtual traffic (Section 3.2).  A virtual flow is never
+  referred to again after its unit is processed, so virtual counters are
+  fungible: only their values matter, and they carry no flow ID;
+- finding the minimum counter value.
 
 Section 3.3 of the paper describes the key optimization this module
 implements: counter values are kept **relative to a floating ground**
@@ -22,8 +25,9 @@ Two interchangeable implementations are provided:
   the paper's pseudocode, kept as the behavioural oracle for differential
   tests;
 - :class:`HeapCounterStore` — the floating-ground structure with an
-  O(log n) lazy min-heap, mirroring the paper's "balanced search tree or
-  heap" suggestion.
+  O(log n) lazy min-heap for real flows and a plain min-heap of levels for
+  virtual counters, mirroring the paper's "balanced search tree or heap"
+  suggestion, with a fused one-call :meth:`~HeapCounterStore.update`.
 
 Both enforce the same invariants and are exercised against each other by
 property-based tests.
@@ -32,10 +36,34 @@ property-based tests.
 from __future__ import annotations
 
 import heapq
+import itertools
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 from ..model.packet import FlowId
+
+#: First element of the flow ID under which :meth:`CounterStore.items`
+#: and snapshots present a virtual counter: ``(_VIRTUAL_PREFIX, rank)``,
+#: ranks numbering the virtual counters in ascending-value order.  Real
+#: flows must not use this namespace (the stream validator rejects it).
+_VIRTUAL_PREFIX = "__virtual__"
+
+
+def is_virtual_fid(fid: Hashable) -> bool:
+    """Whether a flow ID names a virtual counter in the
+    ``(_VIRTUAL_PREFIX, index)`` shape stores and snapshots use."""
+    return (
+        isinstance(fid, tuple) and len(fid) == 2 and fid[0] == _VIRTUAL_PREFIX
+    )
+
+
+def _ranked_virtual(values: List[int]) -> List[Tuple[FlowId, int]]:
+    """Virtual counter values as ``((_VIRTUAL_PREFIX, rank), value)``
+    pairs in ascending-value order: equal multisets give equal lists."""
+    return [
+        ((_VIRTUAL_PREFIX, rank), value)
+        for rank, value in enumerate(sorted(values))
+    ]
 
 
 class CounterStoreError(RuntimeError):
@@ -45,42 +73,45 @@ class CounterStoreError(RuntimeError):
 class CounterStore(ABC):
     """Abstract interface shared by the reference and optimized stores.
 
-    All values are integers (bytes).  A flow is *stored* when it occupies a
-    slot with a strictly positive value; stores never hold zero-valued
-    entries.
+    All values are integers (bytes).  A slot holds either a real flow or a
+    virtual counter, always with a strictly positive value; stores never
+    hold zero-valued entries.
     """
 
     def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
-        #: Flows evicted by :meth:`decrement_all` reaching zero, over the
-        #: store's lifetime.  Operational telemetry only: not part of the
-        #: logical state, so :meth:`snapshot`/:meth:`restore` ignore it
-        #: (a restored store starts its own eviction history).
+        #: Counters (real and virtual) evicted by a decrement reaching
+        #: zero, over the store's lifetime.  Operational telemetry only:
+        #: not part of the logical state, so :meth:`snapshot`/
+        #: :meth:`restore` ignore it (a restored store starts its own
+        #: eviction history).
         self.evictions: int = 0
 
     # -- queries ----------------------------------------------------------
 
     @abstractmethod
     def __contains__(self, fid: FlowId) -> bool:
-        """Whether ``fid`` currently occupies a slot."""
+        """Whether the real flow ``fid`` currently occupies a slot."""
 
     @abstractmethod
     def __len__(self) -> int:
-        """Number of occupied slots."""
+        """Number of occupied slots, real and virtual."""
 
     @abstractmethod
     def get(self, fid: FlowId) -> int:
-        """Current value of a stored flow (raises if not stored)."""
+        """Current value of a stored real flow (raises if not stored)."""
 
     @abstractmethod
     def min_value(self) -> int:
-        """Minimum value among stored flows (raises if empty)."""
+        """Minimum value among stored counters (raises if empty)."""
 
     @abstractmethod
     def items(self) -> Iterator[Tuple[FlowId, int]]:
-        """Iterate ``(fid, value)`` pairs in unspecified order."""
+        """Iterate ``(fid, value)`` pairs: real flows in unspecified order,
+        then virtual counters as ``((_VIRTUAL_PREFIX, rank), value)`` in
+        ascending-value order."""
 
     @property
     def free_slots(self) -> int:
@@ -89,7 +120,7 @@ class CounterStore(ABC):
 
     @property
     def is_empty(self) -> bool:
-        """True when no flow is stored."""
+        """True when no counter is stored."""
         return len(self) == 0
 
     @property
@@ -99,6 +130,31 @@ class CounterStore(ABC):
 
     # -- mutations ---------------------------------------------------------
 
+    def update(self, fid: FlowId, size: int) -> int:
+        """The Misra-Gries update of one ``size``-byte packet of ``fid``
+        (Algorithm 1, lines 10-17); returns the flow's new counter value,
+        or 0 when it ends up unstored.
+
+        This is the paper-literal composition of :meth:`increment`,
+        :meth:`insert`, :meth:`min_value` and :meth:`decrement_all`;
+        optimized stores override it with a fused equivalent.
+        """
+        if size <= 0:
+            raise CounterStoreError(f"update with non-positive size {size}")
+        if fid in self:
+            return self.increment(fid, size)
+        if not self.is_full:
+            self.insert(fid, size)
+            return size
+        decrement = min(size, self.min_value())
+        self.decrement_all(decrement)
+        leftover = size - decrement
+        if leftover > 0:
+            # At least one counter hit zero (decrement == old minimum), so
+            # a slot is free for the remainder.
+            self.insert(fid, leftover)
+        return leftover
+
     @abstractmethod
     def increment(self, fid: FlowId, amount: int) -> int:
         """Add ``amount`` to a stored flow's counter; return the new value."""
@@ -106,6 +162,12 @@ class CounterStore(ABC):
     @abstractmethod
     def insert(self, fid: FlowId, value: int) -> None:
         """Store a new flow with a positive value in a free slot."""
+
+    @abstractmethod
+    def insert_virtual(self, value: int, count: int = 1) -> None:
+        """Store ``count`` virtual counters of a positive ``value`` in free
+        slots (``count`` virtual units, each processed as a brand-new
+        flow arriving at a store with room for it)."""
 
     @abstractmethod
     def decrement_all(self, amount: int) -> None:
@@ -126,9 +188,11 @@ class CounterStore(ABC):
         the algorithm's behaviour depends on — so it is interchangeable
         between store implementations: a snapshot taken from a
         :class:`HeapCounterStore` restores into a
-        :class:`ReferenceCounterStore` and vice versa.  Entries are sorted
-        by a deterministic key so identical logical states serialize to
-        identical bytes (checkpoint files are reproducible).
+        :class:`ReferenceCounterStore` and vice versa.  Virtual counters
+        appear as ``((_VIRTUAL_PREFIX, rank), value)``, ranked by value,
+        and entries are sorted by a deterministic key, so identical
+        logical states serialize to identical bytes (checkpoint files are
+        reproducible).
         """
         from ..detectors.hashing import canonical_key
 
@@ -140,6 +204,9 @@ class CounterStore(ABC):
 
         The restored store is behaviourally identical to the snapshotted
         one: every query and mutation sequence produces the same results.
+        Any ``(_VIRTUAL_PREFIX, index)`` entry becomes a virtual counter,
+        whatever its index (older builds numbered virtual flows from a
+        process-wide sequence).
         """
         capacity = state["capacity"]
         if capacity != self.capacity:
@@ -154,12 +221,15 @@ class CounterStore(ABC):
         self.reset()
         for fid, value in entries:
             fid = tuple(fid) if isinstance(fid, list) else fid
-            self.insert(fid, value)
+            if is_virtual_fid(fid):
+                self.insert_virtual(value)
+            else:
+                self.insert(fid, value)
 
     # -- shared helpers ----------------------------------------------------
 
     def as_dict(self) -> Dict[FlowId, int]:
-        """Snapshot of the stored flows (for tests and reporting)."""
+        """Snapshot of the stored counters (for tests and reporting)."""
         return dict(self.items())
 
     def _check_increment(self, fid: FlowId, amount: int) -> None:
@@ -175,6 +245,19 @@ class CounterStore(ABC):
             raise CounterStoreError(f"insert of already-stored flow {fid!r}")
         if self.is_full:
             raise CounterStoreError("insert into a full store")
+
+    def _check_insert_virtual(self, value: int, count: int) -> None:
+        if value <= 0:
+            raise CounterStoreError(
+                f"virtual insert with non-positive value {value}"
+            )
+        if count < 0:
+            raise CounterStoreError(f"negative virtual count {count}")
+        if count > self.free_slots:
+            raise CounterStoreError(
+                f"virtual insert of {count} counters into "
+                f"{self.free_slots} free slots"
+            )
 
     def _check_decrement(self, amount: int) -> None:
         if amount < 0:
@@ -196,23 +279,24 @@ class ReferenceCounterStore(CounterStore):
     def __init__(self, capacity: int):
         super().__init__(capacity)
         self._values: Dict[FlowId, int] = {}
+        self._virtual: List[int] = []
 
     def __contains__(self, fid: FlowId) -> bool:
         return fid in self._values
 
     def __len__(self) -> int:
-        return len(self._values)
+        return len(self._values) + len(self._virtual)
 
     def get(self, fid: FlowId) -> int:
         return self._values[fid]
 
     def min_value(self) -> int:
-        if not self._values:
+        if self.is_empty:
             raise CounterStoreError("min of an empty store")
-        return min(self._values.values())
+        return min(itertools.chain(self._values.values(), self._virtual))
 
     def items(self) -> Iterator[Tuple[FlowId, int]]:
-        return iter(list(self._values.items()))
+        return iter(list(self._values.items()) + _ranked_virtual(self._virtual))
 
     def increment(self, fid: FlowId, amount: int) -> int:
         self._check_increment(fid, amount)
@@ -223,6 +307,10 @@ class ReferenceCounterStore(CounterStore):
         self._check_insert(fid, value)
         self._values[fid] = value
 
+    def insert_virtual(self, value: int, count: int = 1) -> None:
+        self._check_insert_virtual(value, count)
+        self._virtual.extend([value] * count)
+
     def decrement_all(self, amount: int) -> None:
         self._check_decrement(amount)
         if amount == 0:
@@ -232,22 +320,31 @@ class ReferenceCounterStore(CounterStore):
             remaining = value - amount
             if remaining > 0:
                 survivors[fid] = remaining
-        self.evictions += len(self._values) - len(survivors)
+        virtual = [value - amount for value in self._virtual if value > amount]
+        self.evictions += len(self) - len(survivors) - len(virtual)
         self._values = survivors
+        self._virtual = virtual
 
     def reset(self) -> None:
         self._values.clear()
+        self._virtual.clear()
 
 
 class HeapCounterStore(CounterStore):
-    """Floating-ground store with a lazily-pruned min-heap.
+    """Floating-ground store with heaps of absolute levels.
 
-    Each stored flow has an *absolute* value ``a = c + ground`` where ``c``
-    is its logical counter.  ``decrement_all(d)`` raises the ground by
-    ``d``; entries whose absolute value is <= the ground are logically zero
-    and evicted.  Increments push a fresh heap entry and invalidate the old
-    one via a per-flow version number (classic lazy deletion), giving
-    O(log n) amortized updates — the paper's Section 3.3 structure.
+    Each counter has an *absolute* value ``a = c + ground`` where ``c`` is
+    its logical value.  Lowering every counter by ``d`` raises the ground
+    by ``d``; counters whose absolute value is <= the ground are logically
+    zero and evicted.  Real flows live in a dict ``fid -> a`` plus a
+    min-heap of ``(a, tick, fid)`` entries: an increment pushes a fresh
+    entry and leaves the old one stale (lazy deletion — an entry is live
+    while the dict still holds its value), giving O(log n) amortized
+    updates, the paper's Section 3.3 structure.  Stale entries are
+    compacted away once they outnumber the live ones (plus a constant),
+    so the heap never exceeds ``2 * capacity + HEAP_SLACK`` entries.
+    Virtual counters are just a min-heap of absolute levels: no flow ID,
+    no dict entry, never stale.
 
     To mirror the paper's "periodically reset the floating ground to
     prevent counter overflow", the store rebases automatically once the
@@ -260,69 +357,140 @@ class HeapCounterStore(CounterStore):
     #: decrements, comfortably within a 64-bit counter budget).
     REBASE_THRESHOLD = 1 << 40
 
+    #: Stale real-heap entries tolerated beyond the live count before the
+    #: heap is compacted.
+    HEAP_SLACK = 64
+
     def __init__(self, capacity: int):
         super().__init__(capacity)
         self._ground = 0
-        #: fid -> (absolute value, version)
-        self._entries: Dict[FlowId, Tuple[int, int]] = {}
-        #: heap of (absolute value, version, fid); stale entries are pruned
-        #: lazily when they surface at the top.
+        #: real fid -> absolute value
+        self._entries: Dict[FlowId, int] = {}
+        #: heap of (absolute value, tick, fid); the unique tick keeps fids
+        #: (possibly of mutually unorderable types) out of comparisons.
+        #: Entries whose value the dict no longer holds are stale.
         self._heap: List[Tuple[int, int, FlowId]] = []
-        self._version = 0
+        #: heap of the virtual counters' absolute values
+        self._virtual: List[int] = []
+        self._tick = itertools.count().__next__
 
     def __contains__(self, fid: FlowId) -> bool:
         return fid in self._entries
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) + len(self._virtual)
+
+    @property
+    def heap_entries(self) -> int:
+        """Entries held by both heaps, stale ones included (bounded by
+        ``2 * capacity + HEAP_SLACK``)."""
+        return len(self._heap) + len(self._virtual)
 
     def get(self, fid: FlowId) -> int:
-        absolute, _ = self._entries[fid]
-        return absolute - self._ground
+        return self._entries[fid] - self._ground
 
     def min_value(self) -> int:
-        top = self._peek()
-        if top is None:
+        bottom = self._bottom()
+        if bottom is None:
             raise CounterStoreError("min of an empty store")
-        return top[0] - self._ground
+        return bottom - self._ground
 
     def items(self) -> Iterator[Tuple[FlowId, int]]:
         ground = self._ground
-        return iter(
-            [(fid, a - ground) for fid, (a, _) in self._entries.items()]
-        )
+        real = [(fid, a - ground) for fid, a in self._entries.items()]
+        return iter(real + _ranked_virtual([a - ground for a in self._virtual]))
+
+    def update(self, fid: FlowId, size: int) -> int:
+        """Fused :meth:`CounterStore.update`: one dict probe, at most one
+        minimum lookup, and the eviction scan only when the decrement
+        reaches the minimum."""
+        if size <= 0:
+            raise CounterStoreError(f"update with non-positive size {size}")
+        entries = self._entries
+        absolute = entries.get(fid)
+        if absolute is not None:
+            absolute += size
+            entries[fid] = absolute
+            heap = self._heap
+            heapq.heappush(heap, (absolute, self._tick(), fid))
+            if len(heap) > 2 * len(entries) + self.HEAP_SLACK:
+                self._compact()
+            return absolute - self._ground
+        ground = self._ground
+        if len(entries) + len(self._virtual) < self.capacity:
+            absolute = ground + size
+            entries[fid] = absolute
+            heapq.heappush(self._heap, (absolute, self._tick(), fid))
+            return size
+        bottom = self._bottom()
+        assert bottom is not None  # a full store is never empty
+        minimum = bottom - ground
+        if size < minimum:
+            # Decrement by the whole packet: no counter reaches zero.
+            self._ground = ground = ground + size
+            if ground >= self.REBASE_THRESHOLD:
+                self.rebase()
+            return 0
+        ground += minimum
+        self._ground = ground
+        self._evict(ground)
+        leftover = size - minimum
+        if leftover:
+            absolute = ground + leftover
+            entries[fid] = absolute
+            heapq.heappush(self._heap, (absolute, self._tick(), fid))
+        if ground >= self.REBASE_THRESHOLD:
+            self.rebase()
+        return leftover
 
     def increment(self, fid: FlowId, amount: int) -> int:
         self._check_increment(fid, amount)
-        absolute, _ = self._entries[fid]
-        absolute += amount
-        self._store_entry(fid, absolute)
+        absolute = self._entries[fid] + amount
+        self._entries[fid] = absolute
+        heapq.heappush(self._heap, (absolute, self._tick(), fid))
+        if len(self._heap) > 2 * len(self._entries) + self.HEAP_SLACK:
+            self._compact()
         return absolute - self._ground
 
     def insert(self, fid: FlowId, value: int) -> None:
         self._check_insert(fid, value)
-        self._store_entry(fid, self._ground + value)
+        absolute = self._ground + value
+        self._entries[fid] = absolute
+        heapq.heappush(self._heap, (absolute, self._tick(), fid))
+
+    def insert_virtual(self, value: int, count: int = 1) -> None:
+        virtual = self._virtual
+        if value <= 0 or count != 1 or (
+            len(self._entries) + len(virtual) >= self.capacity
+        ):
+            self._check_insert_virtual(value, count)
+        absolute = self._ground + value
+        for _ in range(count):
+            heapq.heappush(virtual, absolute)
 
     def decrement_all(self, amount: int) -> None:
-        self._check_decrement(amount)
-        if amount == 0:
+        if amount <= 0:
+            if amount < 0:
+                raise CounterStoreError(f"negative decrement {amount}")
             return
-        self._ground += amount
-        # Evict logically-zero flows: absolute value <= ground.
-        while True:
-            top = self._peek()
-            if top is None or top[0] > self._ground:
-                break
-            absolute, version, fid = heapq.heappop(self._heap)
-            del self._entries[fid]
-            self.evictions += 1
-        if self._ground >= self.REBASE_THRESHOLD:
+        ground = self._ground + amount
+        bottom = self._bottom()
+        if bottom is None or bottom < ground:
+            raise CounterStoreError(
+                f"decrement {amount} exceeds the minimum stored value; "
+                "Algorithm 1 only ever decrements by min(w, min counter)"
+            )
+        self._ground = ground
+        if bottom == ground:
+            self._evict(ground)
+        if ground >= self.REBASE_THRESHOLD:
             self.rebase()
 
     def reset(self) -> None:
         self._ground = 0
         self._entries.clear()
         self._heap.clear()
+        self._virtual.clear()
 
     def rebase(self) -> None:
         """Rewrite absolute values relative to a zero ground.
@@ -333,29 +501,47 @@ class HeapCounterStore(CounterStore):
         """
         ground = self._ground
         self._ground = 0
-        self._version = 0
-        self._heap = []
-        rebased = {}
-        for fid, (absolute, _) in self._entries.items():
-            value = absolute - ground
-            rebased[fid] = (value, 0)
-            self._heap.append((value, 0, fid))
-        self._entries = rebased
-        heapq.heapify(self._heap)
+        self._entries = {fid: a - ground for fid, a in self._entries.items()}
+        # A uniform shift keeps the virtual heap ordered.
+        self._virtual = [a - ground for a in self._virtual]
+        self._compact()
 
-    def _store_entry(self, fid: FlowId, absolute: int) -> None:
-        self._version += 1
-        self._entries[fid] = (absolute, self._version)
-        heapq.heappush(self._heap, (absolute, self._version, fid))
+    def _compact(self) -> None:
+        """Rebuild the real heap from the live entries, dropping stale
+        ones."""
+        tick = self._tick
+        heap = [(a, tick(), fid) for fid, a in self._entries.items()]
+        heapq.heapify(heap)
+        self._heap = heap
 
-    def _peek(self):
-        """Top of the heap after pruning stale entries, or None if empty."""
+    def _evict(self, ground: int) -> None:
+        """Drop every counter at or below ``ground`` (logically zero)."""
+        heap = self._heap
+        entries = self._entries
+        evicted = 0
+        while heap and heap[0][0] <= ground:
+            absolute, _, fid = heapq.heappop(heap)
+            if entries.get(fid) == absolute:
+                del entries[fid]
+                evicted += 1
+        virtual = self._virtual
+        while virtual and virtual[0] <= ground:
+            heapq.heappop(virtual)
+            evicted += 1
+        self.evictions += evicted
+
+    def _bottom(self) -> Optional[int]:
+        """Lowest absolute value of any stored counter (pruning stale real
+        entries off the heap top), or None if the store is empty."""
         heap = self._heap
         entries = self._entries
         while heap:
-            absolute, version, fid = heap[0]
-            current = entries.get(fid)
-            if current is not None and current == (absolute, version):
-                return heap[0]
+            absolute, _, fid = heap[0]
+            if entries.get(fid) == absolute:
+                virtual = self._virtual
+                if virtual and virtual[0] < absolute:
+                    return virtual[0]
+                return absolute
             heapq.heappop(heap)
-        return None
+        virtual = self._virtual
+        return virtual[0] if virtual else None

@@ -23,54 +23,20 @@ Three pieces live here:
   once the store drains) so that long idle periods cost O(n) work rather
   than O(idle volume / unit size).  Property tests verify equivalence with
   the reference on randomized states.
+
+A virtual flow is never referred to again once its unit is processed
+(paper Section 3.3), so neither path names one: a unit that needs a slot
+becomes a fungible virtual counter, :meth:`CounterStore.insert_virtual`,
+which holds only a value.  Filling ``k`` empty slots is one call.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterator
+from typing import FrozenSet, Iterator, Tuple
 
+from ..model.packet import FlowId
 from ..model.units import NS_PER_S
 from .counters import CounterStore
-
-#: Flow-ID prefix for virtual flows.  Each virtual unit gets a fresh ID so
-#: it is never treated as a stored flow on a later unit.
-_VIRTUAL_PREFIX = "__virtual__"
-
-#: Next virtual-flow index.  A plain module-level int (not itertools.count)
-#: so checkpoint restore can advance it past indices already stored in a
-#: snapshot taken by an earlier process — see
-#: :func:`ensure_virtual_sequence_above`.
-_next_virtual_index = 0
-
-
-def _fresh_virtual_fid() -> tuple:
-    """A flow ID no real flow can collide with, unique per unit."""
-    global _next_virtual_index
-    index = _next_virtual_index
-    _next_virtual_index += 1
-    return (_VIRTUAL_PREFIX, index)
-
-
-def is_virtual_fid(fid: Hashable) -> bool:
-    """Whether a flow ID was minted by :func:`_fresh_virtual_fid`."""
-    return (
-        isinstance(fid, tuple) and len(fid) == 2 and fid[0] == _VIRTUAL_PREFIX
-    )
-
-
-def ensure_virtual_sequence_above(index: int) -> None:
-    """Guarantee that future virtual fids use indices strictly above
-    ``index``.
-
-    Restoring a snapshot in a fresh process would otherwise reset the
-    sequence to zero while the restored counter store still holds virtual
-    fids with low indices — a later "fresh" unit could collide with a
-    stored one and corrupt the Misra-Gries update.  Called by
-    :meth:`repro.core.eardet.EARDet.restore`.
-    """
-    global _next_virtual_index
-    if index >= _next_virtual_index:
-        _next_virtual_index = index + 1
 
 
 class Carryover:
@@ -144,11 +110,11 @@ def iter_units(volume: int, unit_size: int) -> Iterator[int]:
 
 def apply_virtual_unit(store: CounterStore, unit: int) -> None:
     """Process one virtual unit as a brand-new flow (Algorithm 1, lines
-    10-17 applied to a fresh flow ID)."""
+    10-17 applied to a flow that is never stored)."""
     if unit <= 0:
         return
     if not store.is_full:
-        store.insert(_fresh_virtual_fid(), unit)
+        store.insert_virtual(unit)
         return
     decrement = min(unit, store.min_value())
     store.decrement_all(decrement)
@@ -156,7 +122,7 @@ def apply_virtual_unit(store: CounterStore, unit: int) -> None:
     if leftover > 0:
         # At least one counter hit zero (decrement == old minimum), so a
         # slot is free for the unit's remainder.
-        store.insert(_fresh_virtual_fid(), leftover)
+        store.insert_virtual(leftover)
 
 
 def apply_virtual_traffic_reference(
@@ -167,22 +133,16 @@ def apply_virtual_traffic_reference(
         apply_virtual_unit(store, unit)
 
 
-def _state_key(store: CounterStore):
+def _state_key(store: CounterStore) -> FrozenSet[Tuple[FlowId, int]]:
     """A canonical snapshot of the store for cycle detection.
 
-    Virtual flows are interchangeable (each has a fresh ID that is never
-    referenced again), so they contribute only their value multiset; real
-    flows contribute (fid, value) pairs.  Two stores with equal keys
-    evolve identically under further virtual traffic.
+    :meth:`CounterStore.items` names virtual counters by their rank in
+    ascending-value order, so the key is the virtual level multiset
+    (relative to the ground) plus the real ``(fid, value)`` pairs.  Two
+    stores with equal keys evolve identically under further virtual
+    traffic.
     """
-    virtual_values = []
-    real_entries = []
-    for fid, value in store.items():
-        if is_virtual_fid(fid):
-            virtual_values.append(value)
-        else:
-            real_entries.append((fid, value))
-    return tuple(sorted(virtual_values)), frozenset(real_entries)
+    return frozenset(store.items())
 
 
 def apply_virtual_traffic(
@@ -208,8 +168,12 @@ def apply_virtual_traffic(
        multiset + real (fid, value) pairs) recurs, the volume consumed in
        between is one period and the remaining volume reduces modulo it.
        This bounds the work for arbitrarily long idle gaps.
-    4. Everything else (fills, decrements that evict) is simulated
-       step-by-step.
+    4. Everything else is simulated unit by unit, except that a run of
+       units filling empty slots is one :meth:`CounterStore.insert_virtual`
+       call (outside cycle detection, which keys every unit's state).
+
+    Every unit performs the same store mutations as in the reference, so
+    the two paths also agree on operation counts.
     """
     if unit_size <= 0:
         raise ValueError(f"unit size must be positive, got {unit_size}")
@@ -221,7 +185,8 @@ def apply_virtual_traffic(
     track_cycles = volume > 2 * cycle
     seen = {} if track_cycles else None
     while volume > 0:
-        if track_cycles and not store.is_empty:
+        stored = len(store)
+        if track_cycles and stored:
             key = _state_key(store)
             previous_volume = seen.get(key)
             if previous_volume is not None:
@@ -238,22 +203,28 @@ def apply_virtual_traffic(
                 # and fall back to plain stepping.
                 seen = {}
                 track_cycles = False
-        if store.is_empty:
+        if not stored:
             volume %= cycle
             # Final partial cycle: fill up to n slots with full units...
             full_units = min(volume // unit_size, n)
-            for _ in range(full_units):
-                store.insert(_fresh_virtual_fid(), unit_size)
+            if full_units:
+                store.insert_virtual(unit_size, full_units)
             volume -= full_units * unit_size
             # ... then place or absorb the remainder (< unit_size, or a
             # full unit arriving with every slot taken).
             if volume > 0:
                 apply_virtual_unit(store, min(volume, unit_size))
             return
-        if not store.is_full:
-            unit = min(unit_size, volume)
-            store.insert(_fresh_virtual_fid(), unit)
-            volume -= unit
+        if stored < n:
+            full_units = min(volume // unit_size, n - stored)
+            if not full_units:
+                # A partial last unit with a slot free for it.
+                store.insert_virtual(volume)
+                return
+            if track_cycles:
+                full_units = 1
+            store.insert_virtual(unit_size, full_units)
+            volume -= full_units * unit_size
             continue
         minimum = store.min_value()
         if minimum > unit_size and volume > unit_size:
@@ -266,6 +237,11 @@ def apply_virtual_traffic(
             store.decrement_all(k * unit_size)
             volume -= k * unit_size
             continue
+        # One unit into the full store: apply_virtual_unit, with the
+        # minimum already in hand.
         unit = min(unit_size, volume)
-        apply_virtual_unit(store, unit)
+        decrement = min(unit, minimum)
+        store.decrement_all(decrement)
+        if unit > decrement:
+            store.insert_virtual(unit - decrement)
         volume -= unit

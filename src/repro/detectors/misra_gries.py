@@ -43,17 +43,7 @@ class MisraGries:
         if weight <= 0:
             raise ValueError(f"weight must be positive, got {weight}")
         self.total_weight += weight
-        store = self._store
-        if item in store:
-            store.increment(item, weight)
-        elif not store.is_full:
-            store.insert(item, weight)
-        else:
-            decrement = min(weight, store.min_value())
-            store.decrement_all(decrement)
-            leftover = weight - decrement
-            if leftover > 0:
-                store.insert(item, leftover)
+        self._store.update(item, weight)
 
     def add_stream(self, items: Iterable[Tuple[FlowId, int]]) -> "MisraGries":
         """Fold ``(item, weight)`` pairs; returns self."""

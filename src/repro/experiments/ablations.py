@@ -81,15 +81,29 @@ def burst_gap_vs_rate_gap(
 
 
 class _CountingStore(HeapCounterStore):
-    """Heap store that counts mutating operations, for the unit-size study."""
+    """Heap store that counts logical mutations, for the unit-size study:
+    one per increment, insert, stored virtual counter and decrement-all,
+    whichever call performs them."""
 
     def __init__(self, capacity: int):
         super().__init__(capacity)
         self.operations = 0
 
-    def insert(self, fid, value):  # noqa: D102 - counted passthrough
+    def update(self, fid, size):  # noqa: D102 - counted passthrough
+        if fid in self or not self.is_full:
+            self.operations += 1
+        else:
+            # decrement-all, plus an insert of the leftover if any.
+            self.operations += 1 + (size > self.min_value())
+        return super().update(fid, size)
+
+    def insert(self, fid, value):  # noqa: D102
         self.operations += 1
         super().insert(fid, value)
+
+    def insert_virtual(self, value, count=1):  # noqa: D102
+        self.operations += count
+        super().insert_virtual(value, count)
 
     def increment(self, fid, amount):  # noqa: D102
         self.operations += 1

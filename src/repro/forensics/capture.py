@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Deque, Dict, List, Optional, Tuple, Union
 
 from ..model.packet import Packet
-from ..service.checkpoint import write_checkpoint
+from ..service.checkpoint import Encoded, write_checkpoint
 
 #: Bundle payload schema version.
 BUNDLE_FORMAT = 1
@@ -58,8 +58,8 @@ def _encode_batch(batch: List[Packet]) -> Tuple[bytes, bytes, str]:
     exact and ~3x cheaper to serialize than per-packet JSON rows, which
     is what keeps bundle capture inside its overhead budget."""
     count = len(batch)
-    times = struct.pack(f"<{count}q", *(p.time for p in batch))
-    sizes = struct.pack(f"<{count}I", *(p.size for p in batch))
+    times = struct.pack(f"<{count}q", *[p.time for p in batch])
+    sizes = struct.pack(f"<{count}I", *[p.size for p in batch])
     fids = json.dumps([p.fid for p in batch], separators=(",", ":"))
     return times, sizes, fids
 
@@ -109,6 +109,10 @@ class CaptureLayer:
         self._ring: Deque[List[object]] = deque()
         self._ring_packets = 0
         self._baseline: Optional[Dict[str, object]] = None
+        #: The baseline's encoding, made by the first bundle of a window
+        #: (or handed over by the checkpoint that set the baseline) and
+        #: shared by every bundle of that window.
+        self._baseline_encoded: Optional[Encoded] = None
         self._baseline_index = 0
         self.bundles_written = 0
         self.truncated_bundles = 0
@@ -130,10 +134,16 @@ class CaptureLayer:
         the engine's queues (and any overload rung buffers) are empty,
         so the snapshot corresponds to exactly ``service.ingested``
         packets.  Pass ``engine_snapshot`` to reuse one already taken
-        (the checkpoint path: zero extra snapshot cost)."""
+        (the checkpoint path, as an :class:`Encoded`: zero extra
+        snapshot or encoding cost)."""
         if engine_snapshot is None:
             engine_snapshot = service.engine.snapshot()
-        self._baseline = engine_snapshot
+        if isinstance(engine_snapshot, Encoded):
+            self._baseline = engine_snapshot.value
+            self._baseline_encoded = engine_snapshot
+        else:
+            self._baseline = engine_snapshot
+            self._baseline_encoded = None
         self._baseline_index = service.ingested
         # The capture window restarts here by definition, so the whole
         # ring is dead weight — including, after a supervised recovery,
@@ -240,9 +250,11 @@ class CaptureLayer:
             "skips_complete": skips_complete,
             "expected": expected,
         }
+        if baseline is not None and self._baseline_encoded is None:
+            self._baseline_encoded = Encoded(baseline)
         payload = {
             "meta": meta,
-            "engine": baseline if baseline is not None else {},
+            "engine": self._baseline_encoded if baseline is not None else {},
             "trace": {
                 "start": self._baseline_index,
                 "batches": batches,

@@ -17,6 +17,9 @@ Invariants checked for :class:`~repro.core.eardet.EARDet`:
     maximum-size packet; zeroed counters must have been evicted).
 ``store-size``
     At most ``n`` counters are stored.
+``heap-size``
+    A heap-backed store's heaps, stale lazy-deletion entries included,
+    hold at most ``2n + 64`` entries (no growth with the packet count).
 ``carryover-range``
     The virtual-traffic carryover numerator satisfies
     ``-NS/2 <= r < NS/2`` in byte-nanosecond units (the paper's
@@ -234,6 +237,21 @@ class InvariantChecker:
                 ),
                 observed=stored,
                 bound=config.n,
+            )
+
+        heap_entries = getattr(store, "heap_entries", None)
+        heap_bound = 2 * config.n + getattr(store, "HEAP_SLACK", 0)
+        if heap_entries is not None and heap_entries > heap_bound:
+            self._fail(
+                detector,
+                check="heap-size",
+                message=(
+                    f"counter store's heaps hold {heap_entries} entries, "
+                    f"more than 2n + {heap_bound - 2 * config.n} = "
+                    f"{heap_bound}; stale entries must be compacted away"
+                ),
+                observed=heap_entries,
+                bound=heap_bound,
             )
 
         counter_bound = config.beta_th + config.alpha

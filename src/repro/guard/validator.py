@@ -42,7 +42,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..core.virtual import is_virtual_fid
+from ..core.counters import is_virtual_fid
 from ..model.packet import MAX_PACKET_SIZE, MIN_PACKET_SIZE, FlowId, Packet
 
 if TYPE_CHECKING:  # pragma: no cover - typing only

@@ -45,7 +45,7 @@ import os
 import struct
 import zlib
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Callable, Dict, Union
 
 from ..model.packet import FiveTuple
 
@@ -112,20 +112,15 @@ class CheckpointCorruptError(CheckpointError):
 _VARINT1 = tuple(bytes((v,)) for v in range(0x80))
 
 
-def _write_uvarint(out: io.BytesIO, value: int) -> None:
+def _uvarint(value: int) -> bytes:
     if value < 0x80:
-        out.write(_VARINT1[value])
-        return
+        return _VARINT1[value]
     buf = bytearray()
-    while True:
-        byte = value & 0x7F
+    while value >= 0x80:
+        buf.append((value & 0x7F) | 0x80)
         value >>= 7
-        if value:
-            buf.append(byte | 0x80)
-        else:
-            buf.append(byte)
-            out.write(buf)
-            return
+    buf.append(value)
+    return bytes(buf)
 
 
 def _read_uvarint(data: memoryview, offset: int):
@@ -175,52 +170,90 @@ _B_DICT = bytes((_T_DICT,))
 _B_INT_SMALL = tuple(bytes((_T_INT, v)) for v in range(0x80))
 
 
-def _encode(out: io.BytesIO, value: Any) -> None:
-    if value is None:
-        out.write(_B_NONE)
-    elif value is True:
-        out.write(_B_TRUE)
-    elif value is False:
-        out.write(_B_FALSE)
-    elif isinstance(value, int):
+class Encoded:
+    """A value held together with its encoding.  Embedded anywhere in a
+    payload, it is written as those bytes verbatim — the bytes the value
+    itself would produce — so a sub-value shared by several payloads
+    (a checkpoint's engine snapshot reused as the baseline of forensic
+    bundles) is encoded once."""
+
+    __slots__ = ("value", "data")
+
+    def __init__(self, value: Any):
+        self.value = value
+        out = io.BytesIO()
+        _encode(out.write, value)
+        self.data = out.getvalue()
+
+
+def _encode(write: Callable[[bytes], object], value: Any) -> None:
+    """Emit ``value``'s encoding through ``write``.  Exact ints, strs,
+    lists, tuples and dicts — nearly every value in a snapshot — are
+    dispatched on their type first, and small ints inside containers are
+    written without a call; everything else (and subclasses) goes
+    through :func:`_encode_other`."""
+    kind = type(value)
+    if kind is int:
         folded = value << 1 if value >= 0 else ((-value) << 1) | 1
-        if folded < 0x80:
-            out.write(_B_INT_SMALL[folded])
-        else:
-            out.write(_B_INT)
-            _write_uvarint(out, folded)
+        write(_B_INT_SMALL[folded] if folded < 0x80 else _B_INT + _uvarint(folded))
+    elif kind is str:
+        encoded = value.encode("utf-8")
+        write(_B_STR + _uvarint(len(encoded)) + encoded)
+    elif kind is dict:
+        write(_B_DICT + _uvarint(len(value)))
+        for key, item in value.items():
+            _encode(write, key)
+            if type(item) is int and 0 <= item < 0x40:
+                write(_B_INT_SMALL[item << 1])
+            else:
+                _encode(write, item)
+    elif kind is list or kind is tuple:
+        write((_B_LIST if kind is list else _B_TUPLE) + _uvarint(len(value)))
+        for item in value:
+            if type(item) is int and 0 <= item < 0x40:
+                write(_B_INT_SMALL[item << 1])
+            else:
+                _encode(write, item)
+    else:
+        _encode_other(write, value)
+
+
+def _encode_other(write: Callable[[bytes], object], value: Any) -> None:
+    if value is None:
+        write(_B_NONE)
+    elif isinstance(value, Encoded):
+        write(value.data)
+    elif value is True:
+        write(_B_TRUE)
+    elif value is False:
+        write(_B_FALSE)
+    elif isinstance(value, int):
+        write(_B_INT + _uvarint(_int_to_uint(value)))
     elif isinstance(value, float):
-        out.write(_B_FLOAT)
-        out.write(struct.pack("<d", value))
+        write(_B_FLOAT + struct.pack("<d", value))
     elif isinstance(value, str):
         encoded = value.encode("utf-8")
-        out.write(_B_STR)
-        _write_uvarint(out, len(encoded))
-        out.write(encoded)
+        write(_B_STR + _uvarint(len(encoded)) + encoded)
     elif isinstance(value, bytes):
-        out.write(_B_BYTES)
-        _write_uvarint(out, len(value))
-        out.write(value)
+        write(_B_BYTES + _uvarint(len(value)) + value)
     elif isinstance(value, FiveTuple):
-        out.write(_B_FIVETUPLE)
-        for field in (value.src, value.dst, value.sport, value.dport, value.proto):
-            _write_uvarint(out, _int_to_uint(field))
+        write(_B_FIVETUPLE + b"".join(
+            _uvarint(_int_to_uint(field))
+            for field in (value.src, value.dst, value.sport, value.dport, value.proto)
+        ))
     elif isinstance(value, tuple):
-        out.write(_B_TUPLE)
-        _write_uvarint(out, len(value))
+        write(_B_TUPLE + _uvarint(len(value)))
         for item in value:
-            _encode(out, item)
+            _encode(write, item)
     elif isinstance(value, list):
-        out.write(_B_LIST)
-        _write_uvarint(out, len(value))
+        write(_B_LIST + _uvarint(len(value)))
         for item in value:
-            _encode(out, item)
+            _encode(write, item)
     elif isinstance(value, dict):
-        out.write(_B_DICT)
-        _write_uvarint(out, len(value))
+        write(_B_DICT + _uvarint(len(value)))
         for key, item in value.items():
-            _encode(out, key)
-            _encode(out, item)
+            _encode(write, key)
+            _encode(write, item)
     else:
         raise CheckpointError(
             f"cannot serialize {type(value).__name__} value {value!r}"
@@ -292,7 +325,7 @@ def _decode(data: memoryview, offset: int):
 def dumps(value: Any) -> bytes:
     """Serialize a checkpoint value to framed, CRC-protected bytes."""
     payload = io.BytesIO()
-    _encode(payload, value)
+    _encode(payload.write, value)
     body = payload.getvalue()
     return (
         _HEADER.pack(MAGIC, FORMAT_VERSION, len(body))

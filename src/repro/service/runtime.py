@@ -31,6 +31,7 @@ from .backoff import BackoffPolicy
 from .checkpoint import (
     CheckpointError,
     read_checkpoint,
+    Encoded,
     write_checkpoint,
 )
 from .engine import DEFAULT_QUEUE_CAPACITY, InProcessEngine
@@ -1101,8 +1102,9 @@ class DetectionService:
                 "control": self._checkpoint_control_meta(),
             },
             # snapshot() drains the engine first, so the state matches the
-            # ingested count exactly — the checkpoint boundary.
-            "engine": self._engine.snapshot(),
+            # ingested count exactly — the checkpoint boundary.  Encoded
+            # once, for the file and for the forensic baseline below.
+            "engine": Encoded(self._engine.snapshot()),
         }
         write_checkpoint(
             self.checkpoint_path, payload, retry=self.checkpoint_backoff
@@ -1110,8 +1112,8 @@ class DetectionService:
         self._checkpoints_written += 1
         if self.forensics is not None:
             # Reuse the checkpoint's engine snapshot as the new capture
-            # baseline (zero extra snapshot cost; the ring restarts
-            # here, so future bundles stay small).
+            # baseline (zero extra snapshot or encoding cost; the ring
+            # restarts here, so future bundles stay small).
             self.forensics.rebaseline(self, engine_snapshot=payload["engine"])
         if self.fault_plan is not None:
             # Injected checkpoint corruption (chaos testing the recovery

@@ -223,8 +223,9 @@ class TestCLEF:
         b.restore(json.loads(json.dumps(a.snapshot())))
         for p in packets[500:]:
             assert a.observe(p) == b.observe(p)
-        # Raw store entries may differ in process-global virtual flow
-        # ids; the verdict surfaces must be bit-identical.
+        # The exact stage's state (virtual counters included) and the
+        # verdict surfaces must be bit-identical.
+        assert a.eardet.snapshot() == b.eardet.snapshot()
         assert a.detected == b.detected
         assert a.exact_detections == b.exact_detections
         assert a.probabilistic_detections == b.probabilistic_detections

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.counters import (
+    CounterStore,
     CounterStoreError,
     HeapCounterStore,
     ReferenceCounterStore,
@@ -137,8 +138,10 @@ def test_heap_store_auto_rebase_threshold():
 
 _OPERATIONS = st.lists(
     st.tuples(
-        st.sampled_from(["touch", "decrement_min", "decrement_partial"]),
-        st.integers(min_value=0, max_value=7),  # flow id
+        st.sampled_from(
+            ["touch", "update", "virtual", "decrement_min", "decrement_partial"]
+        ),
+        st.integers(min_value=0, max_value=7),  # flow id (virtual: count)
         st.integers(min_value=1, max_value=1000),  # amount
     ),
     max_size=120,
@@ -147,7 +150,10 @@ _OPERATIONS = st.lists(
 
 @given(capacity=st.integers(min_value=1, max_value=8), operations=_OPERATIONS)
 def test_stores_are_equivalent(capacity, operations):
-    """Random MG-style operation sequences leave both stores identical."""
+    """Random MG-style operation sequences leave both stores identical,
+    whether the update is composed from the primitive operations
+    ("touch"), made in one :meth:`update` call, or stores virtual
+    counters."""
     reference = ReferenceCounterStore(capacity)
     optimized = HeapCounterStore(capacity)
     for op, fid, amount in operations:
@@ -168,6 +174,12 @@ def test_stores_are_equivalent(capacity, operations):
                 if leftover > 0 and fid not in reference:
                     reference.insert(fid, leftover)
                     optimized.insert(fid, leftover)
+        elif op == "update":
+            assert reference.update(fid, amount) == optimized.update(fid, amount)
+        elif op == "virtual":
+            count = min(fid, reference.free_slots)
+            reference.insert_virtual(amount, count)
+            optimized.insert_virtual(amount, count)
         elif op == "decrement_min" and not reference.is_empty:
             decrement = reference.min_value()
             reference.decrement_all(decrement)
@@ -177,6 +189,103 @@ def test_stores_are_equivalent(capacity, operations):
             reference.decrement_all(decrement)
             optimized.decrement_all(decrement)
         assert reference.as_dict() == optimized.as_dict()
+        assert reference.snapshot() == optimized.snapshot()
         assert len(reference) == len(optimized)
+        assert optimized.heap_entries <= 2 * capacity + optimized.HEAP_SLACK
         if not reference.is_empty:
             assert reference.min_value() == optimized.min_value()
+
+
+@given(capacity=st.integers(min_value=1, max_value=8), operations=_OPERATIONS)
+def test_update_matches_paper_literal_composition(capacity, operations):
+    """The fused :meth:`HeapCounterStore.update` returns what the base
+    class's paper-literal update returns, on the same store class."""
+    fused = HeapCounterStore(capacity)
+    literal = HeapCounterStore(capacity)
+    for _, fid, amount in operations:
+        assert fused.update(fid, amount) == CounterStore.update(
+            literal, fid, amount
+        )
+        assert fused.as_dict() == literal.as_dict()
+        assert fused.evictions == literal.evictions
+
+
+@pytest.mark.parametrize("store_cls", STORES)
+class TestUpdateAndVirtual:
+    def test_update_returns_new_value_or_zero(self, store_cls):
+        store = store_cls(2)
+        assert store.update("a", 10) == 10
+        assert store.update("a", 5) == 15
+        assert store.update("b", 3) == 3
+        # Full: "c" (4 B) decrements everything by min 3, evicting "b",
+        # and keeps a 1-byte leftover.
+        assert store.update("c", 4) == 1
+        assert store.as_dict() == {"a": 12, "c": 1}
+        # Full, packet equal to the minimum: "c" is evicted and nothing
+        # is left over to store.
+        assert store.update("d", 1) == 0
+        assert store.as_dict() == {"a": 11}
+        # Full again, packet below the minimum: a pure decrement.
+        store.update("e", 5)
+        assert store.update("f", 2) == 0
+        assert store.as_dict() == {"a": 9, "e": 3}
+
+    def test_update_rejects_nonpositive_size(self, store_cls):
+        store = store_cls(2)
+        with pytest.raises(CounterStoreError):
+            store.update("a", 0)
+
+    def test_virtual_counters_are_fungible(self, store_cls):
+        store = store_cls(4)
+        store.insert("a", 9)
+        store.insert_virtual(5, count=2)
+        store.insert_virtual(2)
+        assert len(store) == 4 and store.is_full
+        assert store.min_value() == 2
+        assert store.as_dict() == {
+            "a": 9,
+            ("__virtual__", 0): 2,
+            ("__virtual__", 1): 5,
+            ("__virtual__", 2): 5,
+        }
+        store.decrement_all(2)
+        assert store.evictions == 1
+        assert store.as_dict() == {
+            "a": 7, ("__virtual__", 0): 3, ("__virtual__", 1): 3
+        }
+
+    def test_insert_virtual_rejects_overflow_and_nonpositive(self, store_cls):
+        store = store_cls(2)
+        with pytest.raises(CounterStoreError):
+            store.insert_virtual(0)
+        with pytest.raises(CounterStoreError):
+            store.insert_virtual(3, count=3)
+        store.insert_virtual(3, count=2)
+        with pytest.raises(CounterStoreError):
+            store.insert_virtual(1)
+
+    def test_restore_maps_virtual_entries(self, store_cls):
+        store = store_cls(3)
+        store.restore(
+            {
+                "capacity": 3,
+                "entries": [
+                    ["a", 4],
+                    [["__virtual__", 812], 6],
+                    [("__virtual__", 3), 2],
+                ],
+            }
+        )
+        assert "a" in store and len(store) == 3
+        assert store.as_dict() == {
+            "a": 4, ("__virtual__", 0): 2, ("__virtual__", 1): 6
+        }
+
+
+def test_heap_compaction_bounds_stale_entries():
+    store = HeapCounterStore(8)
+    store.update("a", 1)
+    for _ in range(10_000):
+        store.update("a", 1)
+    assert store.get("a") == 10_001
+    assert store.heap_entries <= 2 * len(store) + HeapCounterStore.HEAP_SLACK

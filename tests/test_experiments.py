@@ -217,6 +217,30 @@ class TestAblations:
         detected = {row[2] for row in table.rows}
         assert len(detected) == 1
 
+    def test_counting_store_counts_fused_update_like_paper_literal(self):
+        """The unit-size study's "store ops" column counts the logical
+        mutations; the fused one-call update must count exactly what the
+        paper-literal increment/insert/decrement_all composition does."""
+        from repro.core.config import engineer
+        from repro.core.counters import CounterStore
+        from repro.core.eardet import EARDet
+        from repro.traffic.datasets import federico_like
+
+        class LiteralCountingStore(ablations._CountingStore):
+            update = CounterStore.update
+
+        dataset = federico_like(seed=QUICK.seed, scale=0.05)
+        config = engineer(
+            dataset.rho, dataset.gamma_l, dataset.beta_l, dataset.gamma_h,
+            dataset.t_upincb_seconds,
+        )
+        counts = []
+        for factory in (ablations._CountingStore, LiteralCountingStore):
+            detector = EARDet(config, store_factory=factory)
+            detector.observe_stream(dataset.stream)
+            counts.append(detector._store.operations)
+        assert counts[0] == counts[1] > 0
+
     def test_store_implementations_identical(self):
         table = ablations.store_implementations(QUICK)
         assert "identical" in table.notes[0]

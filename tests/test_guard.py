@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.config import EARDetConfig
 from repro.core.eardet import EARDet
-from repro.core.virtual import _VIRTUAL_PREFIX
+from repro.core.counters import _VIRTUAL_PREFIX
 from repro.detectors.exact import ExactLeakyBucketDetector
 from repro.guard import (
     CLAMP,
@@ -380,6 +380,18 @@ def test_oversized_store_is_caught():
     for extra in range(CONFIG.n + 1):
         detector._store._values[f"ghost-{extra}"] = 10
     assert_caught(detector, "store-size")
+
+
+def test_stale_heap_growth_is_caught():
+    checker = InvariantChecker(every=1)
+    detector = EARDet(CONFIG).attach_checker(checker)
+    detector.observe_stream(ordered_packets(count=40, gap=5_000))
+    store = detector._store
+    # Stale lazy-deletion entries the compaction failed to drop (high
+    # levels appended in order keep the heap valid; they never surface).
+    bound = 2 * CONFIG.n + store.HEAP_SLACK
+    store._heap.extend((10**18, i, "stale") for i in range(bound + 1))
+    assert_caught(detector, "heap-size")
 
 
 def test_carryover_out_of_range_is_caught():

@@ -10,18 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import virtual as virtual_module
 from repro.core.blacklist import Blacklist, ReportSink
 from repro.core.config import EARDetConfig
 from repro.core.counters import (
     CounterStoreError,
     HeapCounterStore,
     ReferenceCounterStore,
+    is_virtual_fid,
 )
 from repro.core.eardet import EARDet
 from repro.core.parallel import ParallelEARDet
-from repro.core.virtual import Carryover, is_virtual_fid
-from repro.service.checkpoint import dumps, loads
+from repro.core.virtual import Carryover
+from repro.model.packet import Packet
+from repro.service.checkpoint import Encoded, dumps, loads, write_checkpoint
 
 from conftest import packet_lists
 
@@ -33,29 +34,12 @@ SMALL_CONFIG = EARDetConfig(
 )
 
 
-def canonical_counters(detector: EARDet):
-    """Counter state up to virtual-flow renaming.
-
-    Virtual fids are fresh-per-unit and never referenced again, so two
-    detectors whose real entries match and whose virtual *values* match as
-    a multiset are behaviourally identical; the sequence numbers inside
-    virtual fids legitimately differ between an uninterrupted run and a
-    snapshot/restore run (both draw from a process-global sequence).
-    """
-    real = {}
-    virtual_values = []
-    for fid, value in detector.counters.items():
-        if is_virtual_fid(fid):
-            virtual_values.append(value)
-        else:
-            real[fid] = value
-    return real, sorted(virtual_values)
-
-
 def assert_equivalent(left: EARDet, right: EARDet) -> None:
     assert left.detected == right.detected
     assert left.stats.snapshot() == right.stats.snapshot()
-    assert canonical_counters(left) == canonical_counters(right)
+    # Virtual counters carry no identity and are named by rank, so the
+    # counter tables match exactly, virtual ones included.
+    assert left.counters == right.counters
     assert set(left.blacklist) == set(right.blacklist)
     assert left.carryover_bytes == right.carryover_bytes
     assert left._last_time == right._last_time
@@ -171,6 +155,25 @@ class TestBinaryCodec:
         value = {"a": [1, 2, ("x", None)], "b": True}
         assert dumps(value) == dumps(value)
 
+    @given(values)
+    @settings(max_examples=100, deadline=None)
+    def test_encoded_value_embeds_its_own_bytes(self, value):
+        """A pre-encoded sub-value serializes exactly as the value
+        itself would, and decodes to it."""
+        assert dumps({"k": [Encoded(value), 3]}) == dumps({"k": [value, 3]})
+        assert loads(dumps(Encoded(value))) == value
+
+    def test_wire_format_is_stable(self):
+        """Exact bytes of a representative value: the encoder's type
+        dispatch must not change what older readers parse."""
+        value = {"n": [0, 63, 64, -65, 2**70], "s": ("é", b"\x00"), "f": 1.5,
+                 "x": [None, True, False]}
+        assert dumps(value).hex() == (
+            "4552434b01003d000000090405016e08050300037e0380010383010380"
+            "8080808080808080800205017307020502c3a90601000501660400000000"
+            "0000f83f0501780803000201231e4282"
+        )
+
 
 # ------------------------------------------------- the end-to-end property
 
@@ -280,34 +283,95 @@ class TestRestoreSafety:
         with pytest.raises(ValueError, match="shards"):
             ParallelEARDet(small_config, shards=3).restore(state)
 
-    def test_fresh_process_virtual_fids_cannot_collide(self, small_config):
-        """Restoring in a 'fresh process' (virtual sequence rewound to 0)
-        must not mint virtual fids colliding with stored ones."""
-        detector = EARDet(small_config)
-        # Long idle gaps leave virtual counters in the store.
-        from repro.model.packet import Packet
+    def test_legacy_virtual_indices_restore(self, small_config):
+        """Older builds named each virtual flow from a process-wide
+        sequence, so their snapshots hold ``("__virtual__", i)`` entries
+        with arbitrary high indices.  Restoring one maps those entries to
+        virtual counters and the resumed run detects exactly like an
+        uninterrupted one."""
+        packets = _idle_heavy_packets()
+        split = len(packets) // 2
+        reference = EARDet(small_config)
+        reference.observe_stream(packets)
 
-        detector.observe(Packet(time=0, size=100, fid="a"))
-        detector.observe(Packet(time=1_000_000, size=100, fid="a"))
-        state = detector.snapshot()
+        original = EARDet(small_config)
+        original.observe_stream(packets[:split])
+        state = original.snapshot()
+        entries = state["store"]["entries"]
+        virtual = [value for fid, value in entries if is_virtual_fid(fid)]
+        assert virtual, "test needs virtual counters in the snapshot"
+        # Rewrite the virtual entries as an older build did: high,
+        # non-contiguous sequence numbers, in no particular value order.
+        legacy = [entry for entry in entries if not is_virtual_fid(entry[0])]
+        legacy += [
+            (("__virtual__", 9_000_000 + 37 * index), value)
+            for index, value in enumerate(reversed(virtual))
+        ]
+        state["store"] = {**state["store"], "entries": legacy}
+
+        resumed = EARDet(small_config)
+        resumed.restore(loads(dumps(state)))
+        assert resumed.snapshot() == original.snapshot()
+        resumed.observe_stream(packets[split:])
+        assert resumed.detected == reference.detected
+        assert_equivalent(reference, resumed)
+
+
+def _idle_heavy_packets():
+    """A stream with idle gaps (virtual counters) and a heavy flow."""
+    import random
+
+    rng = random.Random(5)
+    packets = []
+    time = 0
+    for _ in range(400):
+        time += rng.choice((200, 2_000, 90_000, 1_500_000))
+        fid = "heavy" if rng.random() < 0.4 else f"f{rng.randrange(6)}"
+        packets.append(Packet(time=time, size=rng.randint(40, 400), fid=fid))
+    return packets
+
+
+class TestSnapshotDeterminism:
+    """Identical runs serialize to identical snapshots and checkpoint
+    bytes, in one process: virtual counters carry no process-wide
+    sequence number."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda c: EARDet(c),
+            lambda c: EARDet(
+                c, store_factory=ReferenceCounterStore, reference_virtual=True
+            ),
+        ],
+        ids=["heap", "reference"],
+    )
+    def test_back_to_back_runs_snapshot_identically(
+        self, small_config, factory, tmp_path
+    ):
+        packets = _idle_heavy_packets()
+        states = []
+        for run in range(2):
+            detector = factory(small_config)
+            detector.observe_stream(packets)
+            states.append(detector.snapshot())
+            write_checkpoint(tmp_path / f"run{run}.ckpt", {"eardet": states[-1]})
         assert any(
-            is_virtual_fid(fid) for fid, _ in state["store"]["entries"]
+            is_virtual_fid(fid) for fid, _ in states[0]["store"]["entries"]
         ), "test needs virtual counters in the snapshot"
+        assert states[0] == states[1]
+        assert (tmp_path / "run0.ckpt").read_bytes() == (
+            tmp_path / "run1.ckpt"
+        ).read_bytes()
 
-        previous = virtual_module._next_virtual_index
-        try:
-            virtual_module._next_virtual_index = 0  # simulate a new process
-            resumed = EARDet(small_config)
-            resumed.restore(state)
-            stored_max = max(
-                fid[1]
-                for fid, _ in state["store"]["entries"]
-                if is_virtual_fid(fid)
-            )
-            assert virtual_module._next_virtual_index > stored_max
-            # Replaying more idle time must not raise (no fid collisions).
-            resumed.observe(Packet(time=2_000_000, size=100, fid="a"))
-        finally:
-            virtual_module._next_virtual_index = max(
-                previous, virtual_module._next_virtual_index
-            )
+    def test_heap_and_reference_snapshots_agree(self, small_config):
+        packets = _idle_heavy_packets()
+        heap = EARDet(small_config)
+        reference = EARDet(
+            small_config,
+            store_factory=ReferenceCounterStore,
+            reference_virtual=True,
+        )
+        heap.observe_stream(packets)
+        reference.observe_stream(packets)
+        assert heap.snapshot() == reference.snapshot()

@@ -132,3 +132,25 @@ def test_counter_store_heap_health_over_long_run():
     # Lazy deletion keeps some staleness, but it must stay proportional
     # to the live set, not the operation count.
     assert len(store._heap) < 50_000
+
+
+def test_never_full_store_heap_stays_bounded():
+    """A store that never fills, on an oversubscribed link (no virtual
+    traffic): every packet increments one of 50 live counters.  Each
+    increment leaves a stale heap entry behind; compaction must keep the
+    heap within ``2n + 64`` instead of one entry per packet."""
+    from repro.core.counters import HeapCounterStore
+
+    config = EARDetConfig(rho=1000, n=1024, beta_th=10**15, alpha=1518)
+    detector = EARDet(config)
+    rng = random.Random(3)
+    time = 0
+    for _ in range(200_000):
+        time += 1_000
+        detector.observe(
+            Packet(time=time, size=rng.randint(40, 1500), fid=rng.randrange(50))
+        )
+    store = detector._store
+    assert detector.stats.virtual_bytes == 0
+    assert len(store) == 50
+    assert store.heap_entries <= 2 * len(store) + HeapCounterStore.HEAP_SLACK

@@ -140,27 +140,73 @@ _STATES = st.lists(st.integers(min_value=1, max_value=50), max_size=5)
 @settings(max_examples=300)
 @given(
     initial=_STATES,
+    initial_virtual=_STATES,
     capacity_extra=st.integers(0, 2),
     volume=st.integers(0, 400),
     unit=st.integers(1, 20),
+    touch=st.tuples(st.integers(0, 6), st.integers(1, 60)),
 )
-def test_fast_path_equals_reference(initial, capacity_extra, volume, unit):
-    """Differential: arbitrary starting counters, arbitrary volume/unit —
-    the fast path and the unit-by-unit reference end in the same state
-    (up to virtual-flow identity: value multisets and real flows match)."""
-    capacity = max(1, len(initial) + capacity_extra)
+def test_fast_path_equals_reference(
+    initial, initial_virtual, capacity_extra, volume, unit, touch
+):
+    """Differential: arbitrary starting counters (real and virtual),
+    arbitrary volume/unit — the fast path on either store and the
+    unit-by-unit reference end in the same state, and a following
+    one-call ``update`` agrees too.  Virtual counters are named by rank,
+    so the states compare exactly."""
+    capacity = max(1, len(initial) + len(initial_virtual) + capacity_extra)
     reference = ReferenceCounterStore(capacity)
-    optimized = HeapCounterStore(capacity)
-    for index, value in enumerate(initial):
-        reference.insert(("real", index), value)
-        optimized.insert(("real", index), value)
+    stores = [reference, HeapCounterStore(capacity), ReferenceCounterStore(capacity)]
+    for store in stores:
+        for index, value in enumerate(initial):
+            store.insert(("real", index), value)
+        for value in initial_virtual:
+            store.insert_virtual(value)
     apply_virtual_traffic_reference(reference, volume, unit)
-    apply_virtual_traffic(optimized, volume, unit)
-    ref_state = reference.as_dict()
-    opt_state = optimized.as_dict()
-    # Real flows must match exactly.
-    ref_real = {k: v for k, v in ref_state.items() if isinstance(k, tuple) and k[0] == "real"}
-    opt_real = {k: v for k, v in opt_state.items() if isinstance(k, tuple) and k[0] == "real"}
-    assert ref_real == opt_real
-    # Virtual leftovers must match as value multisets.
-    assert sorted(ref_state.values()) == sorted(opt_state.values())
+    for store in stores[1:]:
+        apply_virtual_traffic(store, volume, unit)
+    expected = reference.as_dict()
+    for store in stores[1:]:
+        assert store.as_dict() == expected
+    fid, size = ("real", touch[0]), touch[1]
+    value = reference.update(fid, size)
+    for store in stores[1:]:
+        assert store.update(fid, size) == value
+        assert store.snapshot() == reference.snapshot()
+
+
+class _CountingReference(ReferenceCounterStore):
+    """Counts logical mutations (one per insert, stored virtual counter,
+    increment and decrement-all)."""
+
+    def __init__(self, capacity):
+        super().__init__(capacity)
+        self.operations = 0
+
+    def insert_virtual(self, value, count=1):
+        self.operations += count
+        super().insert_virtual(value, count)
+
+    def decrement_all(self, amount):
+        self.operations += 1
+        super().decrement_all(amount)
+
+
+@settings(max_examples=200)
+@given(
+    initial=_STATES,
+    volume=st.integers(0, 400),
+    unit=st.integers(1, 20),
+)
+def test_fast_path_never_does_more_work_than_reference(initial, volume, unit):
+    """Batched fills count one operation per stored virtual counter, and
+    the closed forms only ever skip unit steps."""
+    reference = _CountingReference(max(1, len(initial)))
+    fast = _CountingReference(max(1, len(initial)))
+    for store in (reference, fast):
+        for value in initial:
+            store.insert_virtual(value)
+        store.operations = 0
+    apply_virtual_traffic_reference(reference, volume, unit)
+    apply_virtual_traffic(fast, volume, unit)
+    assert fast.operations <= reference.operations
