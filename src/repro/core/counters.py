@@ -7,8 +7,10 @@ an associative array indexed by flow ID and must support, at line rate:
   increment the counter of a stored flow, insert a new flow into an empty
   slot, or *decrement all* non-zero counters by ``d = min(size, min_j
   c_j)``, drop the ones that hit zero and store the leftover;
-- storing *virtual* counters (:meth:`CounterStore.insert_virtual`), the
-  leftovers of virtual traffic (Section 3.2).  A virtual flow is never
+- filling idle bandwidth with virtual traffic (:meth:`CounterStore.fill`,
+  Section 3.2): a run of virtual units, each processed like a brand-new
+  flow.  A unit that needs a slot leaves a *virtual* counter
+  (:meth:`CounterStore.insert_virtual`).  A virtual flow is never
   referred to again after its unit is processed, so virtual counters are
   fungible: only their values matter, and they carry no flow ID;
 - finding the minimum counter value.
@@ -27,7 +29,9 @@ Two interchangeable implementations are provided:
 - :class:`HeapCounterStore` — the floating-ground structure with an
   O(log n) lazy min-heap for real flows and a plain min-heap of levels for
   virtual counters, mirroring the paper's "balanced search tree or heap"
-  suggestion, with a fused one-call :meth:`~HeapCounterStore.update`.
+  suggestion, with a fused one-call :meth:`~HeapCounterStore.update` and
+  a fused :meth:`~HeapCounterStore.fill` that takes runs of virtual units
+  in closed form.
 
 Both enforce the same invariants and are exercised against each other by
 property-based tests.
@@ -38,7 +42,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from abc import ABC, abstractmethod
-from typing import Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterator, List, Optional, Tuple
 
 from ..model.packet import FlowId
 
@@ -154,6 +158,33 @@ class CounterStore(ABC):
             # a slot is free for the remainder.
             self.insert(fid, leftover)
         return leftover
+
+    def fill(self, volume: int, unit_size: int) -> None:
+        """Process ``volume`` bytes of virtual traffic (Algorithm 1, lines
+        18-22): ``unit_size``-byte units plus a final partial unit, each
+        a brand-new flow that is never referred to again.
+
+        This is the paper-literal loop, one unit at a time through
+        :meth:`insert_virtual`, :meth:`min_value` and
+        :meth:`decrement_all`; it is the executable specification
+        (``apply_virtual_traffic_reference``).  Optimized stores override
+        it with an exactly equivalent fused form.  Callers pass
+        ``volume >= 0`` and ``unit_size > 0``.
+        """
+        full, partial = divmod(volume, unit_size)
+        units: Iterator[int] = itertools.repeat(unit_size, full)
+        if partial:
+            units = itertools.chain(units, (partial,))
+        for unit in units:
+            if not self.is_full:
+                self.insert_virtual(unit)
+                continue
+            decrement = min(unit, self.min_value())
+            self.decrement_all(decrement)
+            if unit > decrement:
+                # decrement == old minimum, so a counter hit zero and
+                # freed a slot for the unit's remainder.
+                self.insert_virtual(unit - decrement)
 
     @abstractmethod
     def increment(self, fid: FlowId, amount: int) -> int:
@@ -442,6 +473,140 @@ class HeapCounterStore(CounterStore):
         if ground >= self.REBASE_THRESHOLD:
             self.rebase()
         return leftover
+
+    def fill(self, volume: int, unit_size: int) -> None:
+        """Fused :meth:`CounterStore.fill`: the state it leaves is exactly
+        the unit-by-unit loop's.
+
+        A gap of at most one unit — the common case — is one virtual push
+        into a store with room, or, into a full store, one minimum lookup,
+        one ground raise, at most one eviction scan and one push.  Longer
+        gaps take runs of identical unit steps in closed form:
+
+        1. *Periodic regime*: from an empty store, every ``(n + 1)`` full
+           units return the store to empty (n fills then one decrement
+           that clears them all), so the remaining volume reduces modulo
+           ``(n + 1) * unit_size`` before the final partial cycle.
+        2. *Bulk decrement*: while the store is full and its minimum
+           exceeds the unit size, each full unit decrements everything by
+           exactly ``unit_size`` and stores nothing; a whole run of such
+           units is one :meth:`decrement_all`.
+        3. *Cycle detection*: from a non-empty store the evict/insert
+           alternation may never drain the store (e.g. a lone real
+           counter that keeps being replaced), but the dynamics over the
+           finite state space are eventually periodic; when the exact
+           state (virtual level multiset + real ``(fid, value)`` pairs)
+           recurs, the volume consumed in between is one period and the
+           remaining volume reduces modulo it.  This bounds the work for
+           arbitrarily long idle gaps.
+        4. A run of units filling empty slots is one
+           :meth:`insert_virtual` call (outside cycle detection, which
+           keys every unit's state); any other unit is the one-unit step.
+
+        The closed forms go through :meth:`insert_virtual`,
+        :meth:`decrement_all` and the one-unit step into a full store
+        (:meth:`_unit_into_full`), so a subclass that counts those calls
+        (and the one-unit push into a store with room) counts every
+        logical mutation the fill performs.
+        """
+        if volume <= unit_size:
+            if volume > 0:
+                virtual = self._virtual
+                if len(self._entries) + len(virtual) < self.capacity:
+                    heapq.heappush(virtual, self._ground + volume)
+                else:
+                    bottom = self._bottom()
+                    assert bottom is not None  # a full store is never empty
+                    self._unit_into_full(volume, bottom)
+            return
+        n = self.capacity
+        cycle = (n + 1) * unit_size
+        # Cycle detection pays off only for long idle periods.
+        track_cycles = volume > 2 * cycle
+        seen: Dict[FrozenSet[Tuple[FlowId, int]], int] = {}
+        while volume > 0:
+            stored = len(self._entries) + len(self._virtual)
+            if track_cycles and stored:
+                # items() names virtual counters by value rank, so the
+                # key is the virtual level multiset (relative to the
+                # ground) plus the real (fid, value) pairs: two stores
+                # with equal keys evolve identically.
+                key = frozenset(self.items())
+                previous_volume = seen.get(key)
+                if previous_volume is not None:
+                    period = previous_volume - volume
+                    if period > 0 and volume >= period:
+                        volume %= period
+                        seen = {}
+                        track_cycles = False
+                        continue
+                elif len(seen) < 65536:
+                    seen[key] = volume
+                else:
+                    # Pathologically long transient: stop paying for
+                    # snapshots and fall back to plain stepping.
+                    seen = {}
+                    track_cycles = False
+            if not stored:
+                volume %= cycle
+                # Final partial cycle: fill up to n slots with full
+                # units...
+                full_units = min(volume // unit_size, n)
+                if full_units:
+                    self.insert_virtual(unit_size, full_units)
+                volume -= full_units * unit_size
+                # ... then place or absorb the remainder (< unit_size, or
+                # a full unit arriving with every slot taken).
+                if volume > 0:
+                    self.fill(min(volume, unit_size), unit_size)
+                return
+            if stored < n:
+                full_units = min(volume // unit_size, n - stored)
+                if not full_units:
+                    # A partial last unit with a slot free for it.
+                    self.insert_virtual(volume)
+                    return
+                if track_cycles:
+                    full_units = 1
+                self.insert_virtual(unit_size, full_units)
+                volume -= full_units * unit_size
+                continue
+            bottom = self._bottom()
+            assert bottom is not None  # a full store is never empty
+            minimum = bottom - self._ground
+            if minimum > unit_size and volume > unit_size:
+                # Bulk-decrement run: k full units, each reducing every
+                # counter by unit_size without evicting.  Stop one step
+                # before the minimum would reach the unit size or the
+                # volume runs out.  k * unit_size <= minimum - 1, so no
+                # counter reaches zero and the store stays full.
+                k = min((minimum - 1) // unit_size, volume // unit_size)
+                self.decrement_all(k * unit_size)
+                volume -= k * unit_size
+                continue
+            unit = min(unit_size, volume)
+            self._unit_into_full(unit, bottom)
+            volume -= unit
+
+    def _unit_into_full(self, unit: int, bottom: int) -> None:
+        """One virtual unit (at most the unit size) into a full store
+        whose lowest absolute level is ``bottom``: decrement by
+        ``min(unit, minimum)``, evict what reaches zero, store the
+        leftover."""
+        ground = self._ground
+        if unit < bottom - ground:
+            # Decrement by the whole unit: no counter reaches zero.
+            ground += unit
+            self._ground = ground
+        else:
+            # Decrement by the minimum: evict, store the leftover.
+            leftover = unit - (bottom - ground)
+            self._ground = ground = bottom
+            self._evict(ground)
+            if leftover:
+                heapq.heappush(self._virtual, ground + leftover)
+        if ground >= self.REBASE_THRESHOLD:
+            self.rebase()
 
     def increment(self, fid: FlowId, amount: int) -> int:
         self._check_increment(fid, amount)

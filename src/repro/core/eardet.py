@@ -28,7 +28,7 @@ see ``tests/test_properties_eardet.py``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Iterable
 
 from ..detectors.base import Detector
 from ..model.packet import FlowId, Packet
@@ -37,6 +37,9 @@ from .blacklist import Blacklist
 from .config import EARDetConfig
 from .counters import CounterStore, HeapCounterStore
 from .virtual import Carryover, apply_virtual_traffic, apply_virtual_traffic_reference
+
+#: Half a byte in byte-nanoseconds: the carryover rounds half-up.
+_HALF_NS = NS_PER_S // 2
 
 
 class ReconfigurationError(ValueError):
@@ -191,63 +194,135 @@ class EARDet(Detector):
 
     # -- Algorithm 1 -------------------------------------------------------
 
+    def observe(self, packet: Packet) -> bool:
+        """Process one packet (the kernel on a one-packet batch); return
+        whether its flow is flagged."""
+        self._run((packet,))
+        if self.checker is not None:
+            self.checker.after_packet(self)
+        return packet.fid in self.sink
+
+    def observe_batch(self, packets: Iterable[Packet]) -> None:
+        """Process packets in order, with the same state, detections
+        (each reported at its own packet's time) and stats as
+        :meth:`observe` on each packet in turn, at the cost of one loop.
+
+        With an :class:`~repro.guard.invariants.InvariantChecker`
+        attached, the kernel steps one packet at a time, so every
+        sampled check sees the same state as under :meth:`observe`.
+        """
+        checker = self.checker
+        if checker is None:
+            self._run(packets)
+            return
+        run = self._run
+        for packet in packets:
+            run((packet,))
+            checker.after_packet(self)
+
+    def observe_stream(self, packets: Iterable[Packet]) -> "EARDet":
+        """Process a whole stream; returns self for chaining."""
+        self.observe_batch(packets)
+        return self
+
     def _update(self, packet: Packet) -> bool:
-        stats = self.stats
-        stats.packets += 1
-        fid = packet.fid
-        store = self._store
-        counted = True
+        # The base class's per-packet hook; observe() runs the kernel
+        # directly.  True when this packet's flow crossed beta_TH here.
+        detections = self.stats.detections
+        self._run((packet,))
+        return self.stats.detections != detections
 
-        if fid in self._blacklist:
-            if fid in store:
-                stats.blacklisted_packets += 1
-                if not self._blacklisted_consumes_link:
-                    return False
-                counted = False
-            else:
-                # The counter decayed away: the flow leaves the local
-                # blacklist (its detection remains recorded at the sink).
-                self._blacklist.discard(fid)
-                stats.blacklist_prunes += 1
+    def _run(self, packets: Iterable[Packet]) -> None:
+        """The kernel: Algorithm 1 over ``packets``.
 
+        Everything the loop reads is bound once; the clock, carryover
+        and stats live in locals and are written back in ``finally``, in
+        the per-packet order of operations, so an exception leaves the
+        state exactly where a packet-at-a-time run would have.
+        """
         config = self.config
-        now = packet.time
-        size = packet.size
-        if self._started:
-            # Convert the idle bandwidth since the last counted packet
-            # into virtual traffic (Algorithm 1 lines 18-22).
-            idle_scaled = (
-                config.rho * (now - self._last_time)
-                - self._last_size * NS_PER_S
-            )
-            if idle_scaled < 0:
-                # The stream oversubscribes the link (only possible with
-                # synthetic input); there is no idle bandwidth to fill.
-                stats.oversubscribed_gaps += 1
-            elif idle_scaled:
-                volume = self._carryover.integerize(idle_scaled)
-                if volume > 0:
-                    stats.virtual_bytes += volume
-                    self._apply_virtual(store, volume, config.virtual_unit)
-        else:
-            self._started = True
-        # This packet's bytes occupy the wire: the next gap's idle volume
-        # subtracts them.
-        self._last_time = now
-        self._last_size = size
-        if not counted:
-            return False
-
-        # Misra-Gries update with byte weights (lines 10-17), then the
-        # counter-threshold check plus blacklist upkeep (lines 21-22).
-        if store.update(fid, size) <= config.beta_th:
-            return False
-        self._blacklist.add(fid)
-        stats.detections += 1
-        # Keep the bounded-blacklist invariant |L| <= n by pruning
-        # entries whose counters have decayed away (Section 3.3).
-        stats.blacklist_prunes += self._blacklist.prune(store)
-        return True
+        rho = config.rho
+        beta_th = config.beta_th
+        unit = config.virtual_unit
+        store = self._store
+        update = store.update
+        fill = self._apply_virtual
+        blacklist = self._blacklist
+        listed = blacklist._flows
+        report = self.sink.report
+        consumes_link = self._blacklisted_consumes_link
+        carry = self._carryover.remainder_scaled
+        last_time = self._last_time
+        last_size = self._last_size
+        started = self._started
+        seen = blacklisted = virtual_bytes = oversubscribed = 0
+        detections = prunes = 0
+        try:
+            for packet in packets:
+                seen += 1
+                fid = packet.fid
+                counted = True
+                if fid in listed:
+                    if fid in store:
+                        blacklisted += 1
+                        if not consumes_link:
+                            continue
+                        counted = False
+                    else:
+                        # The counter decayed away: the flow leaves the
+                        # local blacklist (its detection remains recorded
+                        # at the sink).
+                        listed.discard(fid)
+                        prunes += 1
+                now = packet.time
+                if started:
+                    # Convert the idle bandwidth since the last counted
+                    # packet into virtual traffic (lines 18-22), through
+                    # the carryover's exact half-up integerization.
+                    idle = rho * (now - last_time) - last_size * NS_PER_S
+                    if idle < 0:
+                        # The stream oversubscribes the link (only
+                        # possible with synthetic input); there is no
+                        # idle bandwidth to fill.
+                        oversubscribed += 1
+                    elif idle:
+                        idle += carry
+                        volume = (idle + _HALF_NS) // NS_PER_S
+                        carry = idle - volume * NS_PER_S
+                        if volume > 0:
+                            virtual_bytes += volume
+                            fill(store, volume, unit)
+                else:
+                    started = True
+                # This packet's bytes occupy the wire: the next gap's
+                # idle volume subtracts them.
+                last_time = now
+                last_size = packet.size
+                if not counted:
+                    continue
+                # Misra-Gries update with byte weights (lines 10-17), then
+                # the counter-threshold check plus blacklist upkeep
+                # (lines 21-22).
+                if update(fid, last_size) > beta_th:
+                    listed.add(fid)
+                    detections += 1
+                    # Keep the bounded-blacklist invariant |L| <= n by
+                    # pruning entries whose counters have decayed away
+                    # (Section 3.3).
+                    prunes += blacklist.prune(store)
+                    report(fid, now)
+        finally:
+            self._carryover.remainder_scaled = carry
+            self._last_time = last_time
+            self._last_size = last_size
+            self._started = started
+            stats = self.stats
+            stats.packets += seen
+            stats.blacklisted_packets += blacklisted
+            stats.virtual_bytes += virtual_bytes
+            stats.oversubscribed_gaps += oversubscribed
+            stats.detections += detections
+            stats.blacklist_prunes += prunes
 
     # -- introspection -----------------------------------------------------
 

@@ -16,13 +16,17 @@ Three pieces live here:
   from the true idle volume by less than one byte over *any* interval.
 - :func:`apply_virtual_traffic_reference` — the executable specification:
   feed the virtual volume to the counter store one unit at a time, each
-  unit a brand-new flow, exactly as Algorithm 1 lines 18-22 describe.
-- :func:`apply_virtual_traffic` — an exactly-equivalent fast path.  It
-  exploits the structure of unit processing (fill empty slots / bulk
-  decrements while the minimum exceeds the unit size / the periodic regime
-  once the store drains) so that long idle periods cost O(n) work rather
-  than O(idle volume / unit size).  Property tests verify equivalence with
-  the reference on randomized states.
+  unit a brand-new flow, exactly as Algorithm 1 lines 18-22 describe
+  (the paper-literal :meth:`CounterStore.fill`).
+- :func:`apply_virtual_traffic` — an exactly-equivalent fast path: the
+  store's own :meth:`~CounterStore.fill`.
+  :class:`~repro.core.counters.HeapCounterStore` fuses it: a gap of at
+  most one unit is a handful of heap operations, and longer gaps take
+  runs of unit steps in closed form (fill empty slots / bulk decrements
+  while the minimum exceeds the unit size / the periodic regime once the
+  store drains / cycle detection), so long idle periods cost O(n) work
+  rather than O(idle volume / unit size).  Property tests verify
+  equivalence with the reference on randomized states.
 
 A virtual flow is never referred to again once its unit is processed
 (paper Section 3.3), so neither path names one: a unit that needs a slot
@@ -32,9 +36,8 @@ which holds only a value.  Filling ``k`` empty slots is one call.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, Tuple
+from typing import Iterator
 
-from ..model.packet import FlowId
 from ..model.units import NS_PER_S
 from .counters import CounterStore
 
@@ -111,137 +114,32 @@ def iter_units(volume: int, unit_size: int) -> Iterator[int]:
 def apply_virtual_unit(store: CounterStore, unit: int) -> None:
     """Process one virtual unit as a brand-new flow (Algorithm 1, lines
     10-17 applied to a flow that is never stored)."""
-    if unit <= 0:
-        return
-    if not store.is_full:
-        store.insert_virtual(unit)
-        return
-    decrement = min(unit, store.min_value())
-    store.decrement_all(decrement)
-    leftover = unit - decrement
-    if leftover > 0:
-        # At least one counter hit zero (decrement == old minimum), so a
-        # slot is free for the unit's remainder.
-        store.insert_virtual(leftover)
+    if unit > 0:
+        CounterStore.fill(store, unit, unit)
 
 
 def apply_virtual_traffic_reference(
     store: CounterStore, volume: int, unit_size: int
 ) -> None:
-    """Executable specification: process every unit individually."""
-    for unit in iter_units(volume, unit_size):
-        apply_virtual_unit(store, unit)
-
-
-def _state_key(store: CounterStore) -> FrozenSet[Tuple[FlowId, int]]:
-    """A canonical snapshot of the store for cycle detection.
-
-    :meth:`CounterStore.items` names virtual counters by their rank in
-    ascending-value order, so the key is the virtual level multiset
-    (relative to the ground) plus the real ``(fid, value)`` pairs.  Two
-    stores with equal keys evolve identically under further virtual
-    traffic.
-    """
-    return frozenset(store.items())
+    """Executable specification: process every unit individually (the
+    paper-literal :meth:`CounterStore.fill`, whatever the store)."""
+    _check_fill(volume, unit_size)
+    CounterStore.fill(store, volume, unit_size)
 
 
 def apply_virtual_traffic(
     store: CounterStore, volume: int, unit_size: int
 ) -> None:
-    """Fast path, exactly equivalent to the reference implementation.
+    """Fast path, exactly equivalent to the reference implementation:
+    the store's own :meth:`~CounterStore.fill` (closed forms for runs of
+    units in :class:`~repro.core.counters.HeapCounterStore`)."""
+    if unit_size <= 0 or volume < 0:
+        _check_fill(volume, unit_size)
+    store.fill(volume, unit_size)
 
-    Four accelerations, each a closed form of a run of identical unit
-    steps:
 
-    1. *Periodic regime*: from an empty store, every ``(n + 1)`` full units
-       return the store to empty (n fills then one decrement that clears
-       them all), so the remaining volume can be reduced modulo
-       ``(n + 1) * unit_size`` before simulating the final partial cycle.
-    2. *Bulk decrement*: while the store is full and its minimum exceeds
-       the unit size, each full unit decrements everything by exactly
-       ``unit_size`` and stores nothing; a whole run of such units is a
-       single ``decrement_all``.
-    3. *Cycle detection*: from a non-empty store the evict/insert
-       alternation may never drain the store (e.g. a lone real counter
-       that keeps being replaced), but the dynamics over the finite state
-       space are eventually periodic; when the exact state (virtual value
-       multiset + real (fid, value) pairs) recurs, the volume consumed in
-       between is one period and the remaining volume reduces modulo it.
-       This bounds the work for arbitrarily long idle gaps.
-    4. Everything else is simulated unit by unit, except that a run of
-       units filling empty slots is one :meth:`CounterStore.insert_virtual`
-       call (outside cycle detection, which keys every unit's state).
-
-    Every unit performs the same store mutations as in the reference, so
-    the two paths also agree on operation counts.
-    """
+def _check_fill(volume: int, unit_size: int) -> None:
     if unit_size <= 0:
         raise ValueError(f"unit size must be positive, got {unit_size}")
     if volume < 0:
         raise ValueError(f"negative virtual volume {volume}")
-    n = store.capacity
-    cycle = (n + 1) * unit_size
-    # Cycle detection pays off only for long idle periods.
-    track_cycles = volume > 2 * cycle
-    seen = {} if track_cycles else None
-    while volume > 0:
-        stored = len(store)
-        if track_cycles and stored:
-            key = _state_key(store)
-            previous_volume = seen.get(key)
-            if previous_volume is not None:
-                period = previous_volume - volume
-                if period > 0 and volume >= period:
-                    volume %= period
-                    seen = {}
-                    track_cycles = False
-                    continue
-            elif len(seen) < 65536:
-                seen[key] = volume
-            else:
-                # Pathologically long transient: stop paying for snapshots
-                # and fall back to plain stepping.
-                seen = {}
-                track_cycles = False
-        if not stored:
-            volume %= cycle
-            # Final partial cycle: fill up to n slots with full units...
-            full_units = min(volume // unit_size, n)
-            if full_units:
-                store.insert_virtual(unit_size, full_units)
-            volume -= full_units * unit_size
-            # ... then place or absorb the remainder (< unit_size, or a
-            # full unit arriving with every slot taken).
-            if volume > 0:
-                apply_virtual_unit(store, min(volume, unit_size))
-            return
-        if stored < n:
-            full_units = min(volume // unit_size, n - stored)
-            if not full_units:
-                # A partial last unit with a slot free for it.
-                store.insert_virtual(volume)
-                return
-            if track_cycles:
-                full_units = 1
-            store.insert_virtual(unit_size, full_units)
-            volume -= full_units * unit_size
-            continue
-        minimum = store.min_value()
-        if minimum > unit_size and volume > unit_size:
-            # Bulk-decrement run: k full units, each reducing every counter
-            # by unit_size without evicting.  Stop one step before the
-            # minimum would reach the unit size or the volume runs out.
-            k = min((minimum - 1) // unit_size, volume // unit_size)
-            # k * unit_size <= minimum - 1, so no counter reaches zero and
-            # the store stays full throughout the run.
-            store.decrement_all(k * unit_size)
-            volume -= k * unit_size
-            continue
-        # One unit into the full store: apply_virtual_unit, with the
-        # minimum already in hand.
-        unit = min(unit_size, volume)
-        decrement = min(unit, minimum)
-        store.decrement_all(decrement)
-        if unit > decrement:
-            store.insert_virtual(unit - decrement)
-        volume -= unit

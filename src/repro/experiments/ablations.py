@@ -97,6 +97,18 @@ class _CountingStore(HeapCounterStore):
             self.operations += 1 + (size > self.min_value())
         return super().update(fid, size)
 
+    def fill(self, volume, unit_size):  # noqa: D102 - counted passthrough
+        if 0 < volume <= unit_size and not self.is_full:
+            # The fused one-unit push into a store with room.  Everything
+            # else runs through the counted methods below.
+            self.operations += 1
+        super().fill(volume, unit_size)
+
+    def _unit_into_full(self, unit, bottom):  # noqa: D102
+        # A decrement-all, plus an insert of the leftover if any.
+        self.operations += 1 + (unit > bottom - self._ground)
+        super()._unit_into_full(unit, bottom)
+
     def insert(self, fid, value):  # noqa: D102
         self.operations += 1
         super().insert(fid, value)

@@ -52,6 +52,30 @@ DEFAULT_RING_CAPACITY = 65536
 REPLAYABLE_LOSS_REASONS = ("injected-drop", "partition")
 
 
+#: Compact JSON, the separators the bundle's fid column is written with.
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _fids_json(fids: List[object]) -> str:
+    """``fids`` as compact JSON, byte for byte what :func:`json.dumps`
+    writes.  A column of plain printable-ASCII strings with no quote or
+    backslash — flow names as traces carry them — needs no escaping, so
+    it is joined in C instead of walked by the encoder."""
+    try:
+        text = "".join(fids)  # type: ignore[arg-type]
+    except TypeError:  # a non-str flow id: the general encoder
+        return _compact_json(fids)
+    if (
+        fids
+        and text.isascii()
+        and text.isprintable()
+        and '"' not in text
+        and "\\" not in text
+    ):
+        return '["' + '","'.join(fids) + '"]'  # type: ignore[arg-type]
+    return _compact_json(fids)
+
+
 def _encode_batch(batch: List[Packet]) -> Tuple[bytes, bytes, str]:
     """One ingest batch in columnar form: ``(times, sizes, fids_json)``
     with times as packed ``<q`` and sizes as packed ``<I`` — integer-
@@ -60,8 +84,7 @@ def _encode_batch(batch: List[Packet]) -> Tuple[bytes, bytes, str]:
     count = len(batch)
     times = struct.pack(f"<{count}q", *[p.time for p in batch])
     sizes = struct.pack(f"<{count}I", *[p.size for p in batch])
-    fids = json.dumps([p.fid for p in batch], separators=(",", ":"))
-    return times, sizes, fids
+    return times, sizes, _fids_json([p.fid for p in batch])
 
 
 def _decode_batch(encoded) -> List[Tuple[int, int, object]]:

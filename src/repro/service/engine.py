@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import time as _time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Deque, Dict, Iterable, List, Optional
 
 from ..core.blacklist import ReportSink
 from ..core.config import EARDetConfig
@@ -110,6 +110,26 @@ class FlowRouter:
                 self._cache.clear()
             index = self._cache[fid] = self._hash(fid)
         return index
+
+    def split(self, packets: Iterable[Packet]) -> Dict[int, List[Packet]]:
+        """``packets`` bucketed by slot, each bucket in arrival order, so
+        each slot detector can take its bucket as one batch (slots are
+        independent, so that ends where packet-by-packet observing
+        does).  Packets routed once already hit the cache without a
+        call."""
+        cached = self._cache.get
+        groups: Dict[int, List[Packet]] = {}
+        for packet in packets:
+            fid = packet.fid
+            slot = cached(fid)
+            if slot is None:
+                slot = self(fid)
+            group = groups.get(slot)
+            if group is None:
+                groups[slot] = [packet]
+            else:
+                group.append(packet)
+        return groups
 
 
 class InProcessEngine:
@@ -222,7 +242,12 @@ class InProcessEngine:
         self._route = FlowRouter(self._hash)
         self._layout = ShardLayout.default(slots, shards)
         self._assignment: List[int] = list(self._layout.assignment)
-        self._queues: List[Deque[Packet]] = [deque() for _ in range(shards)]
+        # Each shard's queue holds the slot of every pending packet, in
+        # arrival order (its length is the queue depth); the packets wait
+        # in their slot's pending deque, so a drain hands each slot its
+        # packets without routing them again.
+        self._queues: List[Deque[int]] = [deque() for _ in range(shards)]
+        self._pending: List[Deque[Packet]] = [deque() for _ in range(slots)]
         self._dropped = [0] * shards
         self._accepted = 0
         self._plan = fault_plan
@@ -332,6 +357,7 @@ class InProcessEngine:
             self._ingest_overload(batch)
             return
         queues = self._queues
+        pending = self._pending
         route = self._route
         assignment = self._assignment
         routed = self._routed
@@ -341,43 +367,52 @@ class InProcessEngine:
         block = self.overflow == "block"
         plan = self._plan
         watcher = self.watcher
-        for packet in batch:
-            slot = route(packet.fid)
-            index = assignment[slot]
-            routed[index] += 1
-            last_ts[index] = packet.time
-            if watcher is not None:
-                # Stage-2 tap at the routing point: sees the wire
-                # stream before queueing/overflow/faults can lose it.
-                # Slot-keyed, so the tap is invariant under resharding.
-                watcher.observe(packet, slot)
-            if plan is not None:
-                local = routed[index]
-                if plan.should_drop(index, local):
-                    self._record_loss(index, packet, "injected-drop", slot=slot)
-                    continue
-                stall = plan.take_stall(index, local)
-                if stall is not None:
-                    _time.sleep(stall.duration_s)
-                kill = plan.take_kill(index, local)
-                if kill is not None:
-                    raise ShardCrashError(
-                        f"injected kill: shard {index} died at its packet "
-                        f"{local}",
-                        shard=index,
-                    )
-            queue = queues[index]
-            if len(queue) >= capacity:
-                if block:
-                    self._drain_shard(index)
-                else:
-                    self._record_loss(index, packet, "queue-overflow", slot=slot)
-                    continue
-            queue.append(packet)
-            self._accepted += 1
-            depth = len(queue)
-            if depth > high_water[index]:
-                high_water[index] = depth
+        accepted = 0
+        try:
+            for packet in batch:
+                slot = route(packet.fid)
+                index = assignment[slot]
+                routed[index] += 1
+                last_ts[index] = packet.time
+                if watcher is not None:
+                    # Stage-2 tap at the routing point: sees the wire
+                    # stream before queueing/overflow/faults can lose it.
+                    # Slot-keyed, so the tap is invariant under resharding.
+                    watcher.observe(packet, slot)
+                if plan is not None:
+                    local = routed[index]
+                    if plan.should_drop(index, local):
+                        self._record_loss(
+                            index, packet, "injected-drop", slot=slot
+                        )
+                        continue
+                    stall = plan.take_stall(index, local)
+                    if stall is not None:
+                        _time.sleep(stall.duration_s)
+                    kill = plan.take_kill(index, local)
+                    if kill is not None:
+                        raise ShardCrashError(
+                            f"injected kill: shard {index} died at its packet "
+                            f"{local}",
+                            shard=index,
+                        )
+                queue = queues[index]
+                if len(queue) >= capacity:
+                    if block:
+                        self._drain_shard(index)
+                    else:
+                        self._record_loss(
+                            index, packet, "queue-overflow", slot=slot
+                        )
+                        continue
+                queue.append(slot)
+                pending[slot].append(packet)
+                accepted += 1
+                depth = len(queue)
+                if depth > high_water[index]:
+                    high_water[index] = depth
+        finally:
+            self._accepted += accepted
 
     def _ingest_overload(self, batch: List[Packet]) -> None:
         """Ladder-mediated ingest: observe occupancy once per shard per
@@ -394,6 +429,7 @@ class InProcessEngine:
         states = self._overload
         assert states is not None
         queues = self._queues
+        pending = self._pending
         capacity = self.queue_capacity
         route = self._route
         assignment = self._assignment
@@ -441,7 +477,8 @@ class InProcessEngine:
                 account.exact_bytes += packet.size
                 state._last_time = packet.time
                 queue = queues[index]
-                queue.append(packet)
+                queue.append(slot)
+                pending[slot].append(packet)
                 accepted += 1
                 depth = len(queue)
                 if depth > high_water[index]:
@@ -460,7 +497,9 @@ class InProcessEngine:
 
     def _enqueue(self, index: int, packet: Packet) -> None:
         queue = self._queues[index]
-        queue.append(packet)
+        slot = self._route(packet.fid)
+        queue.append(slot)
+        self._pending[slot].append(packet)
         self._accepted += 1
         depth = len(queue)
         if depth > self._queue_high_water[index]:
@@ -473,18 +512,10 @@ class InProcessEngine:
         ``None`` budget (and no policy default) drains fully."""
         if budget is None and self.overload_policy is not None:
             budget = self.overload_policy.drain_budget
-        processed = 0
-        route = self._route
-        detectors = self._slot_detectors
-        for queue in self._queues:
-            remaining = budget
-            while queue and (remaining is None or remaining > 0):
-                packet = queue.popleft()
-                detectors[route(packet.fid)].observe(packet)
-                processed += 1
-                if remaining is not None:
-                    remaining -= 1
-        return processed
+        return sum(
+            self._drain_shard(index, budget)
+            for index in range(len(self._queues))
+        )
 
     def _record_loss(
         self,
@@ -517,13 +548,33 @@ class InProcessEngine:
         for index in range(len(self._queues)):
             self._drain_shard(index)
 
-    def _drain_shard(self, index: int) -> None:
+    def _drain_shard(self, index: int, budget: Optional[int] = None) -> int:
+        """Process the packets at the head of shard ``index``'s queue —
+        all of them, or at most ``budget`` — handing each slot its share
+        as one batch in arrival order.  Returns the count."""
         queue = self._queues[index]
-        route = self._route
+        pending = self._pending
         detectors = self._slot_detectors
-        while queue:
-            packet = queue.popleft()
-            detectors[route(packet.fid)].observe(packet)
+        if budget is None or budget >= len(queue):
+            count = len(queue)
+            slots = dict.fromkeys(queue)
+            queue.clear()
+            for slot in slots:
+                waiting = pending[slot]
+                packets = list(waiting)
+                waiting.clear()
+                detectors[slot].observe_batch(packets)
+            return count
+        taken: Dict[int, int] = {}
+        for _ in range(max(0, budget)):
+            slot = queue.popleft()
+            taken[slot] = taken.get(slot, 0) + 1
+        for slot, count in taken.items():
+            waiting = pending[slot]
+            detectors[slot].observe_batch(
+                [waiting.popleft() for _ in range(count)]
+            )
+        return max(0, budget)
 
     def close(self, drain: bool = False) -> None:
         """Drain and release; the in-process engine holds no OS resources.
@@ -538,6 +589,8 @@ class InProcessEngine:
         whatever is still queued)."""
         for queue in self._queues:
             queue.clear()
+        for waiting in self._pending:
+            waiting.clear()
 
     # -- hot reconfiguration -----------------------------------------------
 
@@ -843,6 +896,8 @@ class InProcessEngine:
             layout = ShardLayout.default(slots, int(state["shard_count"]))
         for queue in self._queues:
             queue.clear()
+        for waiting in self._pending:
+            waiting.clear()
         self._ensure_shards(layout.shards)
         self._layout = layout
         self._assignment = list(layout.assignment)

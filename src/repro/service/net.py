@@ -925,15 +925,13 @@ class ShardServer:
         if self._config is None:
             raise FrameCorruptError("BATCH before assign")
         try:
+            packets = itertools.starmap(Packet, tuples)
             if self._solo is not None:
-                observe = self._solo.observe
-                for time_ns, size, fid in tuples:
-                    observe(Packet(time_ns, size, fid))
+                self._solo.observe_batch(packets)
             else:
-                detectors = self._detectors
-                router = self._router
-                for time_ns, size, fid in tuples:
-                    detectors[router(fid)].observe(Packet(time_ns, size, fid))
+                groups = self._router.split(packets)
+                for slot, group in groups.items():
+                    self._detectors[slot].observe_batch(group)
         except _InvariantSignal:  # pragma: no cover - re-raise shape
             raise
         except Exception as error:

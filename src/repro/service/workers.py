@@ -68,6 +68,7 @@ import os
 import queue as queue_module
 import threading
 import time
+from itertools import starmap
 from typing import Dict, Iterable, List, Optional
 
 from ..core.blacklist import ReportSink
@@ -205,8 +206,9 @@ def _shard_worker(
     The worker hosts one EARDet per assigned slot (``slot_ids``), with
     its own flow→slot router (same ``seed``/``slots`` as the parent's,
     so dispatch agrees).  ``initial_states`` maps slot → restored state.
-    Hosting exactly one slot — the default layout — keeps the original
-    single-detector hot loop: no per-packet dispatch.
+    Each chunk reaches a hosted detector as one batch
+    (:meth:`EARDet.observe_batch`); hosting exactly one slot — the
+    default layout — needs no routing at all.
 
     ``faults`` is ``None`` or ``(kill_at, stall_at, stall_s)`` in
     shard-local packet indices — the deterministic chaos hooks.  An
@@ -280,12 +282,16 @@ def _shard_worker(
                 heartbeat[index] = time.monotonic()
             kind = message[0]
             if kind == "packets":
-                if solo is not None and kill_at is None and stall_at is None:
-                    observe = solo.observe
-                    for time_ns, size, fid in message[1]:
-                        observe(Packet(time_ns, size, fid))
+                if kill_at is None and stall_at is None:
+                    packets = starmap(Packet, message[1])
+                    if solo is not None:
+                        solo.observe_batch(packets)
+                    else:
+                        for slot, group in router.split(packets).items():
+                            detectors[slot].observe_batch(group)
                     processed += len(message[1])
                 else:
+                    # An armed kill/stall needs exact packet positions.
                     for time_ns, size, fid in message[1]:
                         position = processed + 1
                         if stall_at is not None and position >= stall_at:

@@ -139,9 +139,13 @@ def test_heap_store_auto_rebase_threshold():
 _OPERATIONS = st.lists(
     st.tuples(
         st.sampled_from(
-            ["touch", "update", "virtual", "decrement_min", "decrement_partial"]
+            [
+                "touch", "update", "virtual", "fill",
+                "decrement_min", "decrement_partial",
+            ]
         ),
-        st.integers(min_value=0, max_value=7),  # flow id (virtual: count)
+        # flow id (virtual: count; fill: unit size in 40-byte steps)
+        st.integers(min_value=0, max_value=7),
         st.integers(min_value=1, max_value=1000),  # amount
     ),
     max_size=120,
@@ -152,8 +156,9 @@ _OPERATIONS = st.lists(
 def test_stores_are_equivalent(capacity, operations):
     """Random MG-style operation sequences leave both stores identical,
     whether the update is composed from the primitive operations
-    ("touch"), made in one :meth:`update` call, or stores virtual
-    counters."""
+    ("touch"), made in one :meth:`update` call, stores virtual counters,
+    or fills idle bandwidth (paper-literal :meth:`CounterStore.fill` on
+    the reference, the fused one on the heap store)."""
     reference = ReferenceCounterStore(capacity)
     optimized = HeapCounterStore(capacity)
     for op, fid, amount in operations:
@@ -180,6 +185,10 @@ def test_stores_are_equivalent(capacity, operations):
             count = min(fid, reference.free_slots)
             reference.insert_virtual(amount, count)
             optimized.insert_virtual(amount, count)
+        elif op == "fill":
+            unit = 40 * (fid + 1)
+            reference.fill(amount, unit)
+            optimized.fill(amount, unit)
         elif op == "decrement_min" and not reference.is_empty:
             decrement = reference.min_value()
             reference.decrement_all(decrement)
@@ -207,6 +216,30 @@ def test_update_matches_paper_literal_composition(capacity, operations):
             literal, fid, amount
         )
         assert fused.as_dict() == literal.as_dict()
+        assert fused.evictions == literal.evictions
+
+
+@given(
+    capacity=st.integers(min_value=1, max_value=8),
+    operations=_OPERATIONS,
+    volume=st.integers(min_value=0, max_value=3000),
+    unit=st.integers(min_value=1, max_value=400),
+)
+def test_fill_matches_paper_literal_composition(
+    capacity, operations, volume, unit
+):
+    """The fused :meth:`HeapCounterStore.fill` leaves the state the base
+    class's unit-by-unit fill leaves, on the same store class; a gap of
+    at most one unit also evicts the same counters."""
+    fused = HeapCounterStore(capacity)
+    literal = HeapCounterStore(capacity)
+    for _, fid, amount in operations:
+        fused.update(fid, amount)
+        literal.update(fid, amount)
+    fused.fill(volume, unit)
+    CounterStore.fill(literal, volume, unit)
+    assert fused.snapshot() == literal.snapshot()
+    if volume <= unit:
         assert fused.evictions == literal.evictions
 
 

@@ -241,6 +241,44 @@ class TestAblations:
             counts.append(detector._store.operations)
         assert counts[0] == counts[1] > 0
 
+    def test_counting_store_counts_fused_fill_like_unit_steps(self):
+        """The fused fill's one-unit steps must count what the
+        paper-literal step (insert_virtual / decrement_all) counts; the
+        closed forms for longer gaps are counted through those calls."""
+        from dataclasses import replace
+
+        from repro.core.config import engineer
+        from repro.core.counters import CounterStore, HeapCounterStore
+        from repro.core.eardet import EARDet
+        from repro.traffic.datasets import federico_like
+
+        class UnfusedCountingStore(ablations._CountingStore):
+            # Every one-unit step through the paper-literal (counted)
+            # primitives; longer gaps keep the closed forms.
+            def fill(self, volume, unit_size):
+                if volume <= unit_size:
+                    CounterStore.fill(self, volume, unit_size)
+                else:
+                    HeapCounterStore.fill(self, volume, unit_size)
+
+            def _unit_into_full(self, unit, bottom):
+                CounterStore.fill(self, unit, unit)
+
+        dataset = federico_like(seed=QUICK.seed, scale=0.05)
+        config = engineer(
+            dataset.rho, dataset.gamma_l, dataset.beta_l, dataset.gamma_h,
+            dataset.t_upincb_seconds,
+        )
+        for unit in (config.virtual_unit, max(1, config.beta_th // 20)):
+            counts = []
+            for factory in (ablations._CountingStore, UnfusedCountingStore):
+                detector = EARDet(
+                    replace(config, virtual_unit=unit), store_factory=factory
+                )
+                detector.observe_stream(dataset.stream)
+                counts.append(detector._store.operations)
+            assert counts[0] == counts[1] > 0
+
     def test_store_implementations_identical(self):
         table = ablations.store_implementations(QUICK)
         assert "identical" in table.notes[0]

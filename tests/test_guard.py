@@ -47,6 +47,7 @@ from repro.service import (
     StreamSource,
     Supervisor,
 )
+from repro.service.engine import InProcessEngine
 from repro.service.sources import validation_stats
 
 CONFIG = EARDetConfig(
@@ -665,6 +666,66 @@ def test_inprocess_invariant_every_catches_corruption(monkeypatch):
     # The state is corrupt: tear down without draining (graceful
     # shutdown would re-run the failing sweep), like the supervisor does.
     service.abort()
+
+
+def _exploding_at(position, boom):
+    """A ``check_now`` that raises ``boom`` once ``position`` packets
+    have been seen."""
+
+    def check_now(self, detector):
+        self.checks_run += 1
+        if self.packets_seen >= position:
+            raise boom
+
+    return check_now
+
+
+def _stepped_until_violation(packets, every):
+    """The packet-at-a-time reference: observe until the checker raises."""
+    detector = EARDet(CONFIG).attach_checker(InvariantChecker(every=every))
+    for packet in packets:
+        try:
+            detector.observe(packet)
+        except InvariantViolation:
+            return detector
+    raise AssertionError("the seeded violation never fired")
+
+
+def test_violation_mid_batch_leaves_the_per_packet_state(monkeypatch):
+    """A checker raising inside ``observe_batch`` stops the kernel at
+    the failing packet: the detector's state equals the per-packet
+    path's at that packet, and the typed error propagates unchanged."""
+    boom = InvariantViolation(
+        "seeded corruption", check="counter-bound", detector="eardet"
+    )
+    monkeypatch.setattr(InvariantChecker, "check_now", _exploding_at(37, boom))
+    packets = ordered_packets(count=200, gap=5_000)
+    batched = EARDet(CONFIG).attach_checker(InvariantChecker(every=1))
+    with pytest.raises(InvariantViolation) as excinfo:
+        batched.observe_batch(packets)
+    assert excinfo.value is boom
+    assert batched.stats.packets == 37
+    stepped = _stepped_until_violation(packets, 1)
+    assert batched.snapshot() == stepped.snapshot()
+
+
+def test_violation_mid_drain_leaves_the_per_packet_state(monkeypatch):
+    """The same through the in-process engine: the slot batch handed over
+    at flush stops at the failing packet with per-packet state."""
+    boom = InvariantViolation(
+        "seeded corruption", check="store-size", detector="eardet"
+    )
+    monkeypatch.setattr(InvariantChecker, "check_now", _exploding_at(40, boom))
+    packets = ordered_packets(count=300, gap=5_000, flows=9)
+    engine = InProcessEngine(CONFIG, shards=1, invariant_every=5)
+    engine.ingest(packets)
+    with pytest.raises(InvariantViolation) as excinfo:
+        engine.flush()
+    assert excinfo.value is boom
+    (detector,) = engine.detector_groups()[0]
+    assert detector.stats.packets == 40
+    stepped = _stepped_until_violation(packets, 5)
+    assert detector.snapshot() == stepped.snapshot()
 
 
 def test_supervisor_treats_invariant_violation_as_permanent(monkeypatch):

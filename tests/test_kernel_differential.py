@@ -148,3 +148,130 @@ def test_restore_at_random_packet_resumes_exactly(shape):
         resumed.observe_stream(packets[split:])
         assert resumed.detected == uninterrupted.detected
         assert resumed.snapshot() == uninterrupted.snapshot()
+
+
+def _batches(packets, rng):
+    """Cut ``packets`` at random boundaries: empty, one-packet, short and
+    long batches (up to the engine's 4096-packet queue)."""
+    start = 0
+    while start < len(packets):
+        size = rng.choice((0, 1, 1, rng.randint(2, 64), rng.randint(65, 4096)))
+        yield packets[start:start + size]
+        start += size
+    yield []
+
+
+@pytest.mark.parametrize("consumes_link", [False, True])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_batch_kernel_equals_reference_at_every_boundary(shape, consumes_link):
+    """``observe_batch`` on the default store, cut at random boundaries,
+    against the reference store and unit-by-unit virtual traffic fed one
+    packet at a time: whole snapshots agree at every boundary."""
+    packets, config = SHAPES[shape]()
+    fast = EARDet(config, blacklisted_consumes_link=consumes_link)
+    reference = EARDet(
+        config,
+        store_factory=ReferenceCounterStore,
+        reference_virtual=True,
+        blacklisted_consumes_link=consumes_link,
+    )
+    rng = random.Random(KERNEL_SEED * 17 + len(shape) + consumes_link)
+    for batch in _batches(packets, rng):
+        fast.observe_batch(batch)
+        for packet in batch:
+            reference.observe(packet)
+        assert fast.snapshot() == reference.snapshot()
+    assert fast.stats.packets == len(packets)
+
+
+class _RecordingChecker(InvariantChecker):
+    """Records the packet count and full state at every sampled check."""
+
+    def __init__(self, every):
+        super().__init__(every)
+        self.seen = []
+
+    def check_now(self, detector):
+        self.seen.append((detector.stats.packets, detector.snapshot()))
+        super().check_now(detector)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_batched_checks_fire_where_per_packet_checks_do(shape):
+    """With a checker attached, the batch kernel steps packet by packet:
+    every sampled check sees the same position and state as under
+    per-packet ``observe``."""
+    packets, config = SHAPES[shape]()
+    batched = _fast(config).attach_checker(_RecordingChecker(every=97))
+    stepped = _fast(config).attach_checker(_RecordingChecker(every=97))
+    rng = random.Random(KERNEL_SEED * 23 + len(shape))
+    for batch in _batches(packets, rng):
+        batched.observe_batch(batch)
+    for packet in packets:
+        stepped.observe(packet)
+    assert batched.checker.seen == stepped.checker.seen
+    assert len(batched.checker.seen) == len(packets) // 97
+
+
+class _FailingFill:
+    """The detector's virtual fill, raising on its ``at``-th call."""
+
+    def __init__(self, fill, at):
+        self.fill, self.at, self.calls = fill, at, 0
+
+    def __call__(self, store, volume, unit):
+        self.calls += 1
+        if self.calls == self.at:
+            raise RuntimeError("injected fill failure")
+        self.fill(store, volume, unit)
+
+
+@pytest.mark.parametrize("shape", ["caida_like", "federico_like", "long_idle"])
+def test_exception_inside_a_batch_leaves_the_per_packet_state(shape):
+    """An exception from inside the kernel (here the virtual fill, after
+    the carryover has advanced) stops a batch exactly where a
+    packet-at-a-time run stops: the clock, carryover and stats of every
+    packet before it are written back."""
+    packets, config = SHAPES[shape]()
+    probe = _fast(config)
+    probe._apply_virtual = counter = _FailingFill(probe._apply_virtual, 0)
+    probe.observe_batch(packets)
+    assert counter.calls > 1
+    at = counter.calls // 2
+
+    batched = _fast(config)
+    batched._apply_virtual = _FailingFill(batched._apply_virtual, at)
+    with pytest.raises(RuntimeError, match="injected fill failure"):
+        batched.observe_batch(packets)
+    stepped = _fast(config)
+    stepped._apply_virtual = _FailingFill(stepped._apply_virtual, at)
+    with pytest.raises(RuntimeError, match="injected fill failure"):
+        for packet in packets:
+            stepped.observe(packet)
+    assert 0 < batched.stats.packets < len(packets)
+    assert batched.snapshot() == stepped.snapshot()
+
+
+@pytest.mark.parametrize("shape", ["federico_like", "saturated"])
+def test_engine_drains_hand_each_slot_its_packets_in_order(shape):
+    """Budgeted pumps and full drains of a multi-slot shard end every slot
+    detector where a detector fed that slot's packets one by one ends."""
+    from repro.service.engine import InProcessEngine
+
+    packets, config = SHAPES[shape]()
+    engine = InProcessEngine(config, shards=2, slots=8, seed=KERNEL_SEED)
+    rng = random.Random(KERNEL_SEED * 41 + len(shape))
+    start = 0
+    while start < len(packets):
+        size = rng.randint(1, 200)
+        engine.ingest(packets[start:start + size])
+        engine.pump(rng.randint(0, 120))
+        start += size
+    engine.flush()
+    reference = [_fast(config) for _ in range(8)]
+    for packet in packets:
+        reference[engine.slot_of(packet.fid)].observe(packet)
+    for slot in range(8):
+        assert engine._slot_detectors[slot].snapshot() == (
+            reference[slot].snapshot()
+        )
